@@ -15,8 +15,13 @@ JartDevice::JartDevice(const Params& params, double ambientK, double nDiscInitia
   setNDisc(nDisc_);
 }
 
-double JartDevice::current(double v) const {
-  return model_.solveConduction(v, nDisc_, temperature()).current;
+double JartDevice::current(double v) const { return evaluate(v).current; }
+
+double JartDevice::conductance(double v) const { return evaluate(v).conductance; }
+
+nh::spice::CurrentAndConductance JartDevice::evaluate(double v) const {
+  const Conduction c = model_.solveConduction(v, nDisc_, temperature());
+  return {c.current, c.conductance, c.converged};
 }
 
 void JartDevice::setNDisc(double n) {
@@ -31,6 +36,7 @@ void JartDevice::setAmbient(double t0) {
 }
 
 void JartDevice::advance(double v, double dt) {
+  lastNonConverged_ = 0;
   if (dt <= 0.0) return;
   const Params& p = model_.params();
   const double window = p.nDiscMax - p.nDiscMin;
@@ -41,7 +47,8 @@ void JartDevice::advance(double v, double dt) {
   while (remaining > 0.0) {
     const double t = temperature();
     const Conduction c = model_.solveConduction(v, nDisc_, t);
-    lastConduction_ = c;
+    lastCurrent_ = c.current;
+    if (!c.converged) ++lastNonConverged_;
     // Self-heating target (Eq. 6 without the crosstalk term, which is an
     // externally supplied offset): dT_self -> RthEff * P.
     const double selfTarget = p.rThEff * c.powerFilament;

@@ -7,13 +7,19 @@
 /// temperature (out, to the crosstalk hub) and the additional crosstalk
 /// temperature (in, from the hub).
 
+#include <cstdint>
+
 #include "jart/model.hpp"
 #include "spice/elements.hpp"
 
 namespace nh::jart {
 
 /// One physical cell. Copyable value type (the fast engine keeps a matrix of
-/// these); cheap to copy (a handful of doubles plus shared params).
+/// these); cheap to copy (a handful of doubles plus its Model's params).
+///
+/// current(), conductance() and evaluate() all come from one conduction
+/// solve (Model::solveConduction): the conductance is the solve's implicit
+/// small-signal derivative, never a finite difference.
 class JartDevice final : public nh::spice::MemristiveModel {
  public:
   /// \p nDiscInitial defaults to the deep-HRS end of the window.
@@ -24,9 +30,16 @@ class JartDevice final : public nh::spice::MemristiveModel {
   /// Terminal current at voltage \p v with the frozen internal state
   /// (N_disc and temperature are constant within one Newton solve).
   double current(double v) const override;
+  /// Analytic dI/dV at \p v (the conduction solve's implicit conductance).
+  double conductance(double v) const override;
+  /// Current, conductance and the solve's convergence flag from one solve;
+  /// bit-identical to {current(v), conductance(v)}.
+  nh::spice::CurrentAndConductance evaluate(double v) const override;
   /// Integrate N_disc and filament temperature over an accepted step.
   /// Substeps adaptively so state moves <= ~1% of the window per substep.
   void advance(double v, double dt) override;
+  /// Conduction solves of the last advance() that did not converge.
+  std::uint32_t lastAdvanceNonConverged() const { return lastNonConverged_; }
 
   // ---- interface variables (paper Sec. IV-B) ---------------------------------
   /// Filament temperature [K]: ambient + crosstalk input + self-heating
@@ -68,8 +81,9 @@ class JartDevice final : public nh::spice::MemristiveModel {
   double readResistance(double readVoltage = 0.2) const;
 
   const Model& model() const { return model_; }
-  /// Last conduction solve of advance(); useful for probes/traces.
-  const Conduction& lastConduction() const { return lastConduction_; }
+  /// Terminal current of advance()'s last conduction solve [A] (energy
+  /// accounting, probes).
+  double lastCurrent() const { return lastCurrent_; }
 
  private:
   Model model_;
@@ -78,7 +92,8 @@ class JartDevice final : public nh::spice::MemristiveModel {
   double selfExcessK_ = 0.0;
   double peakTemperatureK_ = 0.0;
   double nDisc_;
-  Conduction lastConduction_{};
+  double lastCurrent_ = 0.0;
+  std::uint32_t lastNonConverged_ = 0;
 };
 
 }  // namespace nh::jart

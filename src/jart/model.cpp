@@ -10,55 +10,99 @@ namespace nh::jart {
 
 using nh::util::kBoltzmannEv;
 
+namespace {
+
+/// One polarity branch of the Schottky interface at fixed (N_disc, T):
+///   I(vs) = dir * i0 * (exp(min(dir * vs / vt, 60)) - 1),
+/// dir = +1 for the forward (vs >= 0) and -1 for the reverse branch.
+struct SchottkyBranch {
+  double i0;   ///< Saturation current [A].
+  double vt;   ///< Ideality * kT/q [V].
+  double dir;  ///< +1 forward, -1 reverse.
+
+  /// Current at interface voltage \p vs; writes the analytic dI/dvs (0 past
+  /// the exponent clamp) to \p slope.
+  double current(double vs, double& slope) const {
+    const double arg = dir * vs / vt;
+    const double e = std::exp(std::min(arg, 60.0));
+    slope = arg < 60.0 ? i0 * e / vt : 0.0;
+    return dir * i0 * (e - 1.0);
+  }
+};
+
+/// Branch constants at normalised state \p x and temperature \p temperatureK:
+/// one exp per call, shared by every evaluation at that operating point.
+SchottkyBranch schottkyBranch(const Params& p, bool forward, double x,
+                              double temperatureK) {
+  const double kT = kBoltzmannEv * temperatureK;
+  const double scale = p.filamentArea() * p.richardson * (temperatureK * temperatureK);
+  if (forward) {
+    // Forward (SET polarity): thermionic emission over a barrier that the
+    // donor concentration in the disc lowers (more vacancies -> thinner,
+    // lower effective barrier).
+    const double phi = p.phiBarrier0 - p.phiLowering * x;
+    return {scale * std::exp(-phi / kT), p.idealityFwd * kBoltzmannEv * temperatureK,
+            1.0};
+  }
+  // Reverse (RESET polarity): tunnelling-assisted leaky reverse conduction,
+  // modelled as a soft exponential with large ideality.
+  const double phi = p.phiBarrierRev - p.phiLowering * x;
+  return {scale * std::exp(-std::max(phi, 0.02) / kT),
+          p.idealityRev * kBoltzmannEv * temperatureK, -1.0};
+}
+
+}  // namespace
+
 Model::Model(Params params) : params_(params) {
   params_.validate();
   logWindowRatio_ = std::log(params_.nDiscMax / params_.nDiscMin);
 }
 
-double Model::schottkyCurrent(double vs, double nDisc, double temperatureK) const {
-  const Params& p = params_;
-  const double area = p.filamentArea();
-  const double tt = temperatureK * temperatureK;
-  const double x = p.normalisedState(nDisc);
+double Model::normalisedState(double nDisc) const {
+  // Params::normalisedState with the window log cached (same value).
+  const double x = std::log(nDisc / params_.nDiscMin) / logWindowRatio_;
+  return std::fmin(std::fmax(x, 0.0), 1.0);
+}
 
-  if (vs >= 0.0) {
-    // Forward (SET polarity): thermionic emission over a barrier that the
-    // donor concentration in the disc lowers (more vacancies -> thinner,
-    // lower effective barrier).
-    const double phi = p.phiBarrier0 - p.phiLowering * x;
-    const double i0 = area * p.richardson * tt *
-                      std::exp(-phi / (kBoltzmannEv * temperatureK));
-    const double vt = p.idealityFwd * kBoltzmannEv * temperatureK;
-    const double arg = std::min(vs / vt, 60.0);
-    return i0 * (std::exp(arg) - 1.0);
-  }
-  // Reverse (RESET polarity): tunnelling-assisted leaky reverse conduction,
-  // modelled as a soft exponential with large ideality.
-  const double phi = p.phiBarrierRev - p.phiLowering * x;
-  const double i0 = area * p.richardson * tt *
-                    std::exp(-std::max(phi, 0.02) / (kBoltzmannEv * temperatureK));
-  const double vt = p.idealityRev * kBoltzmannEv * temperatureK;
-  const double arg = std::min(-vs / vt, 60.0);
-  return -i0 * (std::exp(arg) - 1.0);
+double Model::schottkyCurrent(double vs, double nDisc, double temperatureK) const {
+  double slope = 0.0;
+  return schottkyBranch(params_, vs >= 0.0, normalisedState(nDisc), temperatureK)
+      .current(vs, slope);
 }
 
 Conduction Model::solveConduction(double voltage, double nDisc,
                                   double temperatureK) const {
   const Params& p = params_;
-  Conduction out;
-  if (voltage == 0.0) return out;
+  const double rDisc = p.discResistance(nDisc);
+  const double rOhmic = rDisc + p.plugResistance() + p.rSeries;
+  const double x = normalisedState(nDisc);
+  // Terminal conductance from the interface slope (implicit derivative of
+  // vs + R * I(vs) = V).
+  const auto terminalConductance = [rOhmic](double slope) {
+    return slope / (1.0 + rOhmic * slope);
+  };
 
-  const double rOhmic = p.discResistance(nDisc) + p.plugResistance() + p.rSeries;
+  Conduction out;
+  if (voltage == 0.0) {
+    // vs = 0 sits on the forward branch, whose slope there is i0 / vt.
+    double slope = 0.0;
+    schottkyBranch(p, true, x, temperatureK).current(0.0, slope);
+    out.conductance = terminalConductance(slope);
+    return out;
+  }
 
   // Solve f(vs) = vs + R * I_sch(vs) - V = 0. I_sch is monotone increasing
   // in vs, so f is monotone: bracket [min(0,V), max(0,V)] always contains
-  // the root. Newton with bisection safeguard.
+  // the root, and vs keeps the sign of V. Newton with bisection safeguard;
+  // the derivative f' = 1 + R * dI/dvs is analytic.
+  const SchottkyBranch branch = schottkyBranch(p, voltage > 0.0, x, temperatureK);
   double lo = std::min(0.0, voltage);
   double hi = std::max(0.0, voltage);
   double vs = voltage * 0.5;
+  double slope = 0.0;
+  double i = branch.current(vs, slope);
   bool converged = false;
-  for (int iter = 0; iter < 200; ++iter) {
-    const double i = schottkyCurrent(vs, nDisc, temperatureK);
+  for (int iter = 0; iter < 200 && !converged; ++iter) {
     const double f = vs + rOhmic * i - voltage;
     if (std::fabs(f) < 1e-12 * std::max(1.0, std::fabs(voltage))) {
       converged = true;
@@ -69,29 +113,20 @@ Conduction Model::solveConduction(double voltage, double nDisc,
     } else {
       lo = vs;
     }
-    // Numerical derivative for the Newton step.
-    const double h = 1e-7 * std::max(1.0, std::fabs(vs)) + 1e-12;
-    const double di = (schottkyCurrent(vs + h, nDisc, temperatureK) -
-                       schottkyCurrent(vs - h, nDisc, temperatureK)) /
-                      (2.0 * h);
-    const double fp = 1.0 + rOhmic * di;
-    double vsNew = vs - f / fp;
+    double vsNew = vs - f / (1.0 + rOhmic * slope);
     if (!(vsNew > lo && vsNew < hi)) vsNew = 0.5 * (lo + hi);  // bisect
-    if (std::fabs(vsNew - vs) < 1e-15) {
-      vs = vsNew;
-      converged = true;
-      break;
-    }
+    converged = std::fabs(vsNew - vs) < 1e-15;
     vs = vsNew;
+    i = branch.current(vs, slope);
   }
 
-  const double i = schottkyCurrent(vs, nDisc, temperatureK);
   out.current = i;
   out.vSchottky = vs;
-  out.vDisc = i * p.discResistance(nDisc);
+  out.vDisc = i * rDisc;
   // Power heating the filament: everything except the external series
   // resistance (which sits in the electrodes, away from the filament).
   out.powerFilament = std::fabs(i * (voltage - i * p.rSeries));
+  out.conductance = terminalConductance(slope);
   out.converged = converged;
   return out;
 }

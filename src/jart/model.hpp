@@ -16,6 +16,11 @@ struct Conduction {
   double vDisc = 0.0;           ///< Share across the disc [V] (drives kinetics).
   double powerFilament = 0.0;   ///< Power dissipated in the filament region
                                 ///< (disc + plug + interface, excl. series R) [W].
+  /// Small-signal terminal conductance dI/dV [S], the implicit derivative of
+  /// the voltage division: g = I's / (1 + R * I's), with I's = dI_sch/dvs at
+  /// the solved interface voltage and R the ohmic (disc + plug + series)
+  /// resistance. At V = 0 it is the zero-bias slope of the forward branch.
+  double conductance = 0.0;
   bool converged = true;        ///< Internal solve converged.
 };
 
@@ -27,9 +32,12 @@ class Model {
 
   const Params& params() const { return params_; }
 
-  /// Solve the internal voltage division and return terminal current plus
-  /// the disc field needed by the kinetics. Monotone 1-D Newton with a
-  /// bisection safeguard; always converges on the bracketed interval.
+  /// Solve the internal voltage division and return terminal current, the
+  /// disc field needed by the kinetics and the terminal conductance, all
+  /// from one solve. Monotone 1-D Newton with a bisection safeguard; always
+  /// converges on the bracketed interval. The per-(N_disc, T) Schottky
+  /// constants are computed once per call and each Newton iteration uses the
+  /// analytic interface derivative (one exp per iteration).
   Conduction solveConduction(double voltage, double nDisc, double temperatureK) const;
 
   /// Schottky interface current at interface voltage \p vs [A].
@@ -52,8 +60,11 @@ class Model {
   double windowReset(double nDisc) const;
 
  private:
+  /// Params::normalisedState from the cached window log.
+  double normalisedState(double nDisc) const;
+
   Params params_;
-  double logWindowRatio_;  ///< ln(Nmax/Nmin), cached.
+  double logWindowRatio_;  ///< ln(Nmax/Nmin), cached for normalisedState.
 };
 
 }  // namespace nh::jart

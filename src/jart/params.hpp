@@ -11,7 +11,8 @@
 /// resistance, and evolves one state variable: the oxygen-vacancy donor
 /// concentration in the disc, N_disc.
 ///
-/// Absolute values are calibrated (see DESIGN.md section 6) such that
+/// Absolute values are calibrated (see the SwitchingTime tests in
+/// tests/test_jart_kinetics.cpp) such that
 ///  * a full-select SET at V_SET = 1.05 V, 300 K completes within ~100 ns,
 ///  * a half-select (V_SET/2) stress at 300 K is harmless for >= 10^6 pulses,
 ///  * a half-select stress on a cell heated by ~60-100 K of thermal

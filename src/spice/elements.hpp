@@ -100,6 +100,13 @@ class Diode final : public Element {
   double is_, n_, vt_;
 };
 
+/// Device current and small-signal conductance at one terminal voltage.
+struct CurrentAndConductance {
+  double current = 0.0;      ///< [A]
+  double conductance = 0.0;  ///< dI/dV [S]
+  bool converged = true;     ///< The model's internal solve converged.
+};
+
 /// Interface a compact memristive model exposes to the circuit engine.
 /// Implemented by nh::jart::JartDevice; kept abstract here so nh::spice has
 /// no dependency on the model library.
@@ -111,6 +118,10 @@ class MemristiveModel {
   virtual double current(double v) const = 0;
   /// dI/dV at \p v. Default: symmetric finite difference.
   virtual double conductance(double v) const;
+  /// Current and conductance together, as a Newton Jacobian fill needs them.
+  /// Default: current(v) and conductance(v); models whose internal solve
+  /// yields both override it to solve once.
+  virtual CurrentAndConductance evaluate(double v) const;
   /// Integrate internal state (ionic concentration, filament temperature)
   /// over an accepted step of length \p dt at terminal voltage \p v.
   virtual void advance(double v, double dt) = 0;

@@ -26,8 +26,9 @@ class AlphaTable {
   /// selected+dc). Also captures the extracted R_th.
   static AlphaTable fromExtraction(const fem::AlphaResult& extraction);
 
-  /// Closed-form fallback calibrated against the FEM extraction (see
-  /// DESIGN.md): nearest same-line coupling decays exponentially with the
+  /// Closed-form fallback calibrated against the FEM extraction (canonical
+  /// tables in crosstalk.cpp, pinned by tests/test_xbar_crosstalk.cpp):
+  /// nearest same-line coupling decays exponentially with the
   /// electrode spacing, off-line (diagonal) coupling is weaker, and the
   /// coupling decays with Chebyshev distance. Useful for tests and for
   /// sweeps where re-running the FEM would dominate runtime.
@@ -72,6 +73,10 @@ class CrosstalkHub {
   /// single-source FEM solutions the alphas were extracted from; see the
   /// implementation note on why total-temperature feedback would be wrong.
   nh::util::Matrix inputTemperatures(const nh::util::Matrix& excess) const;
+  /// Same, writing into \p tin (resized to rows x cols if needed; a
+  /// caller's persistent buffer makes the per-substep update allocation-free).
+  /// \p tin must not alias \p excess.
+  void inputTemperatures(const nh::util::Matrix& excess, nh::util::Matrix& tin) const;
 
   /// Steady-state total excess temperature per cell for a static per-cell
   /// power map: excess_i = rth*P_i + sum_j alpha_ij * rth*P_j.

@@ -25,6 +25,7 @@ FastEngine::FastEngine(CrossbarArray& array, AlphaTable table,
   // at array construction time via config; here we only validate coherence.
   lineVoltages_.assign(array.rows() + array.cols(), 0.0);
   energyByCell_.resize(array.rows(), array.cols(), 0.0);
+  selfExcess_.resize(array.rows(), array.cols(), 0.0);
 }
 
 void FastEngine::resetEnergy() {
@@ -35,16 +36,15 @@ void FastEngine::resetEnergy() {
 void FastEngine::refreshCrosstalk() {
   const std::size_t rows = array_->rows();
   const std::size_t cols = array_->cols();
-  nh::util::Matrix selfExcess(rows, cols, 0.0);
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
-      selfExcess(r, c) = array_->cell(r, c).selfExcessTemperature();
+      selfExcess_(r, c) = array_->cell(r, c).selfExcessTemperature();
     }
   }
-  const nh::util::Matrix tin = hub_.inputTemperatures(selfExcess);
+  hub_.inputTemperatures(selfExcess_, crosstalkIn_);
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
-      array_->cell(r, c).setCrosstalk(tin(r, c));
+      array_->cell(r, c).setCrosstalk(crosstalkIn_(r, c));
     }
   }
 }
@@ -92,11 +92,12 @@ void FastEngine::solveNetwork(const LineBias& bias) {
         const std::size_t bc = rows + c;
         const auto& device = array_->cell(r, c);
         const double v = lineVoltages_[r] - lineVoltages_[bc];
-        const double i = device.current(v);
-        double g = device.conductance(v);
+        const nh::spice::CurrentAndConductance e = device.evaluate(v);
+        if (!e.converged) ++conductionNonConverged_;
+        double g = e.conductance;
         if (!(g > 0.0)) g = 1e-12;
-        residual_[r] += i;
-        residual_[bc] -= i;
+        residual_[r] += e.current;
+        residual_[bc] -= e.current;
         gMat_(r, c) = g;
         dRow_[r] += g;
         dCol_[c] += g;
@@ -113,7 +114,8 @@ void FastEngine::solveNetwork(const LineBias& bias) {
     for (std::size_t i = 0; i < n; ++i) {
       const double d = std::clamp(delta_[i], -0.5, 0.5);
       lineVoltages_[i] -= d;
-      maxStep = std::max(maxStep, std::fabs(d));
+      // std::max drops a NaN second argument; keep it so the guard sees it.
+      maxStep = std::isnan(d) ? d : std::max(maxStep, std::fabs(d));
     }
     ++newtonTotal_;
     // NaN/Inf guard: std::clamp passes NaN through, so a poisoned solve
@@ -194,9 +196,10 @@ void FastEngine::step(const LineBias& bias, double h) {
       const double v = lineVoltages_[r] - lineVoltages_[rows + c];
       auto& device = array_->cell(r, c);
       device.advance(v, h);
+      conductionNonConverged_ += device.lastAdvanceNonConverged();
       // Energy accounting from the device's final conduction operating
       // point of this substep (quasi-static within a substep).
-      const double e = std::fabs(v * device.lastConduction().current) * h;
+      const double e = std::fabs(v * device.lastCurrent()) * h;
       totalEnergy_ += e;
       energyByCell_(r, c) += e;
     }
@@ -237,7 +240,9 @@ void FastEngine::applyPulse(const LineBias& bias, double width, double gap) {
     refreshCrosstalk();
     for (std::size_t r = 0; r < array_->rows(); ++r) {
       for (std::size_t c = 0; c < array_->cols(); ++c) {
-        array_->cell(r, c).advance(0.0, gap);
+        auto& device = array_->cell(r, c);
+        device.advance(0.0, gap);
+        conductionNonConverged_ += device.lastAdvanceNonConverged();
       }
     }
     // Crosstalk inputs decay with the sources; clear for the next pulse.
@@ -257,7 +262,6 @@ PulseTrainResult FastEngine::applyPulseTrain(const LineBias& bias, double width,
   const std::size_t cells = array_->cellCount();
 
   std::vector<double> before(cells), delta(cells);
-  nh::util::Matrix energyBeforeByCell;
   std::size_t applied = 0;
   while (applied < count) {
     nh::util::checkCancellation("pulse train");
@@ -268,7 +272,7 @@ PulseTrainResult FastEngine::applyPulseTrain(const LineBias& bias, double width,
       }
     }
     const double energyBefore = totalEnergy_;
-    energyBeforeByCell = energyByCell_;
+    energyBeforeByCell_ = energyByCell_;  // same shape: copies, never allocates
     applyPulse(bias, width, gap);
     const double energyPerPulse = totalEnergy_ - energyBefore;
     ++applied;
@@ -310,7 +314,7 @@ PulseTrainResult FastEngine::applyPulseTrain(const LineBias& bias, double width,
     for (std::size_t r = 0; r < array_->rows(); ++r) {
       for (std::size_t c = 0; c < array_->cols(); ++c) {
         energyByCell_(r, c) += static_cast<double>(batch) *
-                               (energyByCell_(r, c) - energyBeforeByCell(r, c));
+                               (energyByCell_(r, c) - energyBeforeByCell_(r, c));
       }
     }
     if (callback && callback(applied)) {

@@ -111,6 +111,9 @@ class FastEngine {
   const nh::util::Vector& lastLineVoltages() const { return lineVoltages_; }
   /// Total Newton iterations spent in line-network solves.
   std::size_t newtonIterationsTotal() const { return newtonTotal_; }
+  /// Compact-model conduction solves that did not converge, counted from the
+  /// Jacobian fill and from every device advance. 0 on a healthy run.
+  std::size_t conductionNonConvergedTotal() const { return conductionNonConverged_; }
 
   /// Energy dissipated in the array since construction / resetEnergy() [J].
   /// Batched pulses contribute their extrapolated share, so the value is
@@ -138,8 +141,14 @@ class FastEngine {
   nh::util::Vector lineVoltages_;
   double time_ = 0.0;
   std::size_t newtonTotal_ = 0;
+  std::size_t conductionNonConverged_ = 0;
   double totalEnergy_ = 0.0;
   nh::util::Matrix energyByCell_;
+  /// energyByCell_ before the last detailed pulse (batch replay).
+  nh::util::Matrix energyBeforeByCell_;
+  /// Crosstalk-hub input/output buffers, reused by every refreshCrosstalk().
+  nh::util::Matrix selfExcess_;
+  nh::util::Matrix crosstalkIn_;
 
   // Line-network solve workspace, persistent across substeps and pulses so
   // the million-pulse sweeps never reallocate it. gMat_/dRow_/dCol_ hold the

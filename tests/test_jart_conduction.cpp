@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
+#include "jart/device.hpp"
 #include "jart/model.hpp"
+#include "jart_conduction_oracle.hpp"
+#include "util/units.hpp"
 
 namespace nh::jart {
 namespace {
@@ -169,6 +174,93 @@ TEST(Kinetics, FieldNonlinearity) {
   // Doubling the disc voltage must accelerate switching far more than 2x
   // (ultra-nonlinear kinetics, Menzel et al.).
   EXPECT_GT(high / low, 50.0);
+}
+
+// ---- fused solve vs the finite-difference oracle ---------------------------
+
+double relativeError(double got, double want) {
+  return std::fabs(got - want) / std::max(std::fabs(want), 1e-300);
+}
+
+TEST(ConductionOracle, SampledOperatingPointsMatchReference) {
+  // Seeded operating points across the attack envelope: V in [-1.5, 1.5] V,
+  // N_disc log-uniform in the window, T in [250, 600] K, and device-to-device
+  // variability up to sigma = 0.1. One RNG stream per sample.
+  const Params base = Params::paperDefaults();
+  constexpr std::uint64_t kSeed = 0x6e6853ull;
+  constexpr std::uint64_t kSamples = 400;
+  for (std::uint64_t k = 0; k < kSamples; ++k) {
+    nh::util::Rng rng = nh::util::Rng::forStream(kSeed, k);
+    const double sigma = rng.uniform(0.0, 0.1);
+    const Params p = base.withVariability(rng, sigma);
+    const double v = rng.uniform(-1.5, 1.5);
+    const double n = std::clamp(
+        p.nDiscMin * std::pow(p.nDiscMax / p.nDiscMin, rng.uniform()), p.nDiscMin,
+        p.nDiscMax);
+    const double t = rng.uniform(250.0, 600.0);
+    SCOPED_TRACE(::testing::Message() << "sample " << k << ": v=" << v
+                                      << " n=" << n << " T=" << t);
+    const Model m(p);
+    const Conduction got = m.solveConduction(v, n, t);
+    const Conduction ref = oracle::solveConduction(p, v, n, t);
+    EXPECT_TRUE(got.converged);
+    EXPECT_TRUE(ref.converged);
+    EXPECT_LT(relativeError(got.current, ref.current), 1e-9);
+    EXPECT_LT(relativeError(got.vDisc, ref.vDisc), 1e-9);
+    EXPECT_LT(relativeError(got.powerFilament, ref.powerFilament), 1e-9);
+
+    // Conductance against a central difference of the oracle's current, on
+    // one branch (|V| > h) and away from the Schottky exponent clamp.
+    const double h = 1e-5;
+    const double vt = (v > 0.0 ? p.idealityFwd : p.idealityRev) *
+                      nh::util::kBoltzmannEv * t;
+    if (std::fabs(v) > 2.0 * h && std::fabs(got.vSchottky) / vt < 55.0) {
+      const double fd = (oracle::solveConduction(p, v + h, n, t).current -
+                         oracle::solveConduction(p, v - h, n, t).current) /
+                        (2.0 * h);
+      EXPECT_GT(got.conductance, 0.0);
+      EXPECT_LT(relativeError(got.conductance, fd), 1e-4);
+    }
+
+    // The zero-bias slope is the forward branch's: compare with the oracle's
+    // one-sided difference from V = 0.
+    const double g0 = m.solveConduction(0.0, n, t).conductance;
+    const double h0 = 1e-7;
+    EXPECT_LT(relativeError(g0, oracle::solveConduction(p, h0, n, t).current / h0),
+              1e-4);
+
+    // The device API reports the same solve, bit for bit.
+    const JartDevice d(p, t, n);
+    const nh::spice::CurrentAndConductance e = d.evaluate(v);
+    EXPECT_EQ(e.current, d.current(v));
+    EXPECT_EQ(e.conductance, d.conductance(v));
+    EXPECT_EQ(e.current, got.current);
+    EXPECT_EQ(e.conductance, got.conductance);
+    EXPECT_TRUE(e.converged);
+  }
+}
+
+TEST(ConductionOracle, SchottkyCurrentMatchesReference) {
+  // The public interface evaluation is the same expression as the oracle's,
+  // term by term: bit-identical on both branches and at the clamp.
+  const Model m = defaultModel();
+  const Params& p = m.params();
+  for (const double n : {p.nDiscMin, 3e25, p.nDiscMax}) {
+    for (const double vs : {-8.0, -0.7, -1e-9, 0.0, 1e-9, 0.3, 0.9, 4.0}) {
+      EXPECT_EQ(m.schottkyCurrent(vs, n, 310.0),
+                oracle::schottkyCurrent(p, vs, n, 310.0))
+          << "vs=" << vs << " n=" << n;
+    }
+  }
+}
+
+TEST(Conduction, NonFiniteVoltageReportsNonConvergence) {
+  // A NaN or infinite bias poisons the bracket itself, so neither the
+  // residual nor the step test can pass.
+  const Model m = defaultModel();
+  EXPECT_FALSE(m.solveConduction(std::nan(""), 1e25, 300.0).converged);
+  EXPECT_FALSE(m.solveConduction(HUGE_VAL, 1e25, 300.0).converged);
+  EXPECT_FALSE(oracle::solveConduction(m.params(), std::nan(""), 1e25, 300.0).converged);
 }
 
 TEST(Resistance, RejectsZeroReadVoltage) {

@@ -150,5 +150,29 @@ TEST(JartDevice, ConductancePositive) {
   }
 }
 
+TEST(JartDevice, AdvanceReportsNonConvergedSolves) {
+  JartDevice d(params(), 300.0);
+  d.advance(0.525, 50e-9);
+  EXPECT_EQ(d.lastAdvanceNonConverged(), 0u);
+  EXPECT_GT(d.lastCurrent(), 0.0);
+  d.advance(std::nan(""), 10e-9);
+  EXPECT_GT(d.lastAdvanceNonConverged(), 0u);
+  d.setHrs();
+  d.relaxTemperature();
+  d.advance(0.525, 10e-9);
+  EXPECT_EQ(d.lastAdvanceNonConverged(), 0u);  // per call, not cumulative
+}
+
+TEST(JartDevice, ZeroBiasConductanceIsForwardSlope) {
+  // At V = 0 the conduction solve returns the forward branch's analytic
+  // zero-bias slope, positive and finite, in one solve with the current.
+  const JartDevice d(params(), 300.0);
+  const auto e = d.evaluate(0.0);
+  EXPECT_DOUBLE_EQ(e.current, 0.0);
+  EXPECT_GT(e.conductance, 0.0);
+  EXPECT_TRUE(std::isfinite(e.conductance));
+  EXPECT_TRUE(e.converged);
+}
+
 }  // namespace
 }  // namespace nh::jart

@@ -142,6 +142,54 @@ TEST(FastEngine, PulseTrainStopsEarlyViaCallback) {
   EXPECT_LE(coarse.pulsesApplied, 100u);
 }
 
+TEST(FastEngine, HealthyAttackHasNoNonConvergedConductionSolves) {
+  // Fig. 3-style attack: V/2 hammering of the centre of a 5x5 array at 10 nm
+  // until the word-line neighbour flips.
+  ArrayConfig cfg;
+  cfg.rows = 5;
+  cfg.cols = 5;
+  CrossbarArray array(cfg);
+  array.fill(CellState::Hrs);
+  array.setState(2, 2, CellState::Lrs);
+  FastEngine engine(array, AlphaTable::analytic(10e-9));
+  const LineBias bias = selectBias(BiasScheme::Half, 5, 5, 2, 2, 1.05);
+  std::size_t flipAt = 0;
+  engine.applyPulseTrain(bias, 50e-9, 50e-9, 20000, [&](std::size_t pulse) {
+    if (array.cell(2, 1).normalisedState() >= 0.5) {
+      flipAt = pulse;
+      return true;
+    }
+    return false;
+  });
+  EXPECT_GT(flipAt, 0u);
+  EXPECT_GT(engine.newtonIterationsTotal(), 0u);
+  EXPECT_EQ(engine.conductionNonConvergedTotal(), 0u);
+}
+
+TEST(FastEngine, CountsNonConvergedConductionSolves) {
+  // A NaN word-line drive gives the cells on that line a NaN operating
+  // point, which no conduction solve can converge on.
+  LineBias bias = selectBias(BiasScheme::Half, 3, 3, 1, 1, 1.05);
+  bias.wordLine[1] = std::nan("");
+  {
+    // Ideal drivers: the cells are only reached through advance().
+    CrossbarArray array(config3x3());
+    FastEngineOptions opt;
+    opt.solveLineNetwork = false;
+    FastEngine engine(array, AlphaTable::analytic(50e-9), opt);
+    engine.applyBias(bias, 10e-9);
+    EXPECT_GT(engine.conductionNonConvergedTotal(), 0u);
+  }
+  {
+    // Line network: the Jacobian fill counts the solves before the
+    // non-finite Newton update is rejected.
+    CrossbarArray array(config3x3());
+    FastEngine engine(array, AlphaTable::analytic(50e-9));
+    EXPECT_THROW(engine.applyBias(bias, 10e-9), nh::util::SolverError);
+    EXPECT_EQ(engine.conductionNonConvergedTotal(), 3u);
+  }
+}
+
 TEST(FastEngine, OptionValidation) {
   CrossbarArray array(config3x3());
   FastEngineOptions opt;

@@ -143,6 +143,22 @@ TEST(Energy, BatchedTrainsExtrapolateEnergy) {
   EXPECT_NEAR(batched / exact, 1.0, 0.05);
 }
 
+TEST(Energy, PerCellBreakdownSumsToTotalAfterBatchedTrain) {
+  CrossbarArray array(config(3));
+  array.fill(CellState::Hrs);
+  array.setState(1, 1, CellState::Lrs);
+  FastEngine engine(array, AlphaTable::analytic(50e-9));
+  const PulseTrainResult train = engine.applyPulseTrain(
+      selectBias(BiasScheme::Half, 3, 3, 1, 1, 1.05), 50e-9, 50e-9, 200);
+  ASSERT_LT(train.pulsesSimulated, train.pulsesApplied);  // batches replayed
+  double sum = 0.0;
+  for (std::size_t r = 0; r < 3; ++r) {
+    for (std::size_t c = 0; c < 3; ++c) sum += engine.energyByCell()(r, c);
+  }
+  EXPECT_GT(engine.totalEnergy(), 0.0);
+  EXPECT_NEAR(sum, engine.totalEnergy(), 1e-12 * engine.totalEnergy());
+}
+
 TEST(Energy, ResetClearsCounters) {
   CrossbarArray array(config(3));
   FastEngine engine(array, AlphaTable::analytic(50e-9));
