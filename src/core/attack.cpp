@@ -103,7 +103,6 @@ AttackResult AttackEngine::run(const AttackConfig& config) {
     const auto callback = [&](std::size_t pulseInChunk) {
       const std::size_t total = base + pulseInChunk;
       recordTrace(total);
-      // Fast path: normalised-state check before the full read classify.
       const auto hit = detector_.firstLrs(array, victims);
       if (hit) {
         flipped = true;

@@ -1,6 +1,9 @@
 #include "core/detector.hpp"
 
+#include <atomic>
 #include <stdexcept>
+
+#include "util/threadpool.hpp"
 
 namespace nh::core {
 
@@ -49,12 +52,24 @@ std::vector<FlipEvent> BitFlipDetector::flipsSince(
 std::optional<xbar::CellCoord> BitFlipDetector::firstLrs(
     const xbar::CrossbarArray& array,
     const std::vector<xbar::CellCoord>& monitored) const {
-  for (const auto& coord : monitored) {
-    if (classify(array.cell(coord.row, coord.col)) == ReadState::Lrs) {
-      return coord;
+  // Each block reports its first LRS victim into `first`, which keeps the
+  // lowest list index; a block stops at the first hit or once it passes the
+  // best index found so far. The result is the serial scan's hit.
+  std::atomic<std::size_t> first{monitored.size()};
+  util::forBlocks(monitored.size(), xbar::kParallelMinCells,
+                  [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end && i < first.load(); ++i) {
+      const xbar::CellCoord& coord = monitored[i];
+      if (classify(array.cell(coord.row, coord.col)) != ReadState::Lrs) continue;
+      std::size_t best = first.load();
+      while (i < best && !first.compare_exchange_weak(best, i)) {
+      }
+      return;
     }
-  }
-  return std::nullopt;
+  });
+  const std::size_t hit = first.load();
+  if (hit == monitored.size()) return std::nullopt;
+  return monitored[hit];
 }
 
 }  // namespace nh::core

@@ -51,6 +51,8 @@ class BitFlipDetector {
 
   /// First cell among \p monitored that currently reads LRS (the attack's
   /// success condition: HRS victim flipped to LRS). std::nullopt when none.
+  /// From xbar::kParallelMinCells victims up the list is scanned in blocks on
+  /// the shared pool; the result is still the earliest hit in list order.
   std::optional<xbar::CellCoord> firstLrs(
       const xbar::CrossbarArray& array,
       const std::vector<xbar::CellCoord>& monitored) const;

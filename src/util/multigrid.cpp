@@ -147,17 +147,8 @@ void multicolorSweep(const SparseMatrix& a, const Vector& invDiag,
         x[r] = acc * invDiag[r];  // division hoisted to compute() time
       }
     };
-    const std::size_t count = end - begin;
-    ThreadPool& pool = ThreadPool::shared();
-    if (count < kParallelSweepMinRows || pool.size() < 2) {
-      sweepRange(begin, end);
-      continue;
-    }
-    const std::size_t chunks = std::min(count, pool.size() + 1);
-    const std::size_t per = (count + chunks - 1) / chunks;
-    pool.parallelFor(chunks, [&](std::size_t chunk) {
-      const std::size_t lo = begin + chunk * per;
-      sweepRange(lo, std::min(end, lo + per));
+    forBlocks(end - begin, kParallelSweepMinRows, [&](std::size_t lo, std::size_t hi) {
+      sweepRange(begin + lo, begin + hi);
     });
   }
 }

@@ -99,23 +99,8 @@ void SparseMatrix::multiplyInto(const Vector& x, Vector& y) const {
   const double* val = values_.data();
   const double* xs = x.data();
   double* ys = y.data();
-  const auto rowRange = [&](std::size_t begin, std::size_t end) {
+  forBlocks(rows_, kParallelSpmvMinRows, [&](std::size_t begin, std::size_t end) {
     kernel(rp, col, val, xs, ys, begin, end);
-  };
-  if (rows_ < kParallelSpmvMinRows) {
-    rowRange(0, rows_);
-    return;
-  }
-  ThreadPool& pool = ThreadPool::shared();
-  if (pool.size() < 2) {  // single-core: fork/join is pure overhead
-    rowRange(0, rows_);
-    return;
-  }
-  const std::size_t chunks = std::min(rows_, pool.size() + 1);
-  const std::size_t per = (rows_ + chunks - 1) / chunks;
-  pool.parallelFor(chunks, [&](std::size_t chunk) {
-    const std::size_t begin = chunk * per;
-    rowRange(begin, std::min(rows_, begin + per));
   });
 }
 

@@ -265,4 +265,39 @@ void parallelFor(std::size_t count, const std::function<void(std::size_t)>& body
   pool.parallelFor(count, body);
 }
 
+void detail::forBlocksOnPool(
+    std::size_t count, const std::function<void(std::size_t, std::size_t)>& body) {
+  // Single core: fork/join is pure overhead. Inside a pool task: the loop
+  // would run inline on this worker anyway (see parallelFor), so skip the
+  // block bookkeeping.
+  if (count < 2 || defaultThreadCount() < 2 || t_currentPool == &ThreadPool::shared()) {
+    body(0, count);
+    return;
+  }
+  ThreadPool& pool = ThreadPool::shared();
+  // Several blocks per thread: claimed dynamically, they even out the
+  // per-index cost differences and the uneven speed of shared-host CPUs.
+  const std::size_t target = 4 * (pool.size() + 1);
+  const std::size_t per = (count + target - 1) / target;
+  const std::size_t blocks = (count + per - 1) / per;
+  // Keep the lowest block's exception, not the first to be thrown, so the
+  // error does not depend on scheduling.
+  Mutex errorMutex;
+  std::exception_ptr error;
+  std::size_t errorBlock = blocks;
+  pool.parallelFor(blocks, [&](std::size_t block) {
+    const std::size_t begin = block * per;
+    try {
+      body(begin, std::min(count, begin + per));
+    } catch (...) {
+      MutexLock lock(errorMutex);
+      if (block < errorBlock) {
+        error = std::current_exception();
+        errorBlock = block;
+      }
+    }
+  });
+  if (error) std::rethrow_exception(error);
+}
+
 }  // namespace nh::util

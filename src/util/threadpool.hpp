@@ -99,4 +99,31 @@ class ThreadPool {
 void parallelFor(std::size_t count, const std::function<void(std::size_t)>& body,
                  std::size_t threads = 0);
 
+namespace detail {
+/// forBlocks' pool branch: runs body(0, count) inline on a single-core host
+/// or inside a task of the shared pool, otherwise splits [0, count) into
+/// 4 x (pool.size() + 1) contiguous blocks claimed through the shared pool's
+/// parallelFor.
+void forBlocksOnPool(std::size_t count,
+                     const std::function<void(std::size_t, std::size_t)>& body);
+}  // namespace detail
+
+/// Run body(begin, end) over disjoint contiguous blocks that cover
+/// [0, count) -- inline as one body(0, count) call when count < \p minCount
+/// (no pool, no allocation), else on the shared pool (detail::forBlocksOnPool).
+/// Each index lands in exactly one block; bodies must only write their own
+/// indices' state, so any per-index result is independent of the split.
+/// Errors match the serial loop: when several blocks throw, the exception of
+/// the lowest block is rethrown unchanged (the one body(0, count) would have
+/// thrown first); a cancelled ambient token still stops the loop with
+/// CancelledError, as in parallelFor.
+template <typename Body>
+void forBlocks(std::size_t count, std::size_t minCount, Body&& body) {
+  if (count < minCount) {
+    body(std::size_t{0}, count);
+    return;
+  }
+  detail::forBlocksOnPool(count, std::ref(body));
+}
+
 }  // namespace nh::util

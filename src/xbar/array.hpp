@@ -19,6 +19,11 @@ struct CellCoord {
   bool operator==(const CellCoord&) const = default;
 };
 
+/// Cell count from which the per-cell loops over one array -- FastEngine's
+/// Jacobian fill, crosstalk refresh and device advance, and the detector's
+/// victim scan -- run in contiguous blocks on the shared thread pool.
+inline constexpr std::size_t kParallelMinCells = 1024;
+
 /// Array construction parameters.
 struct ArrayConfig {
   std::size_t rows = 5;

@@ -143,6 +143,14 @@ CrosstalkHub::CrosstalkHub(std::size_t rows, std::size_t cols, AlphaTable table)
   if (rows == 0 || cols == 0) {
     throw std::invalid_argument("CrosstalkHub: empty array");
   }
+  const long long radius = table_.radius();
+  taps_.reserve(static_cast<std::size_t>((2 * radius + 1) * (2 * radius + 1)));
+  for (long long dr = -radius; dr <= radius; ++dr) {
+    for (long long dc = -radius; dc <= radius; ++dc) {
+      const double a = table_.at(dr, dc);
+      if (a != 0.0) taps_.push_back({dr, dc, a});
+    }
+  }
 }
 
 nh::util::Matrix CrosstalkHub::inputTemperatures(const nh::util::Matrix& excess) const {
@@ -153,29 +161,37 @@ nh::util::Matrix CrosstalkHub::inputTemperatures(const nh::util::Matrix& excess)
 
 void CrosstalkHub::inputTemperatures(const nh::util::Matrix& excess,
                                      nh::util::Matrix& tin) const {
+  if (tin.rows() != rows_ || tin.cols() != cols_) tin.resize(rows_, cols_, 0.0);
+  inputTemperatures(excess, tin, 0, rows_);
+}
+
+void CrosstalkHub::inputTemperatures(const nh::util::Matrix& excess,
+                                     nh::util::Matrix& tin, std::size_t rowBegin,
+                                     std::size_t rowEnd) const {
   if (excess.rows() != rows_ || excess.cols() != cols_) {
     throw std::invalid_argument("CrosstalkHub: excess shape mismatch");
+  }
+  if (tin.rows() != rows_ || tin.cols() != cols_ || rowBegin > rowEnd ||
+      rowEnd > rows_) {
+    throw std::invalid_argument("CrosstalkHub: output shape or row range mismatch");
   }
   // Eq. 5 as linear superposition of every cell's *self*-heating: the alpha
   // values were extracted with a single heated cell, so the coupled field of
   // many sources is the sum of the single-source solutions. (Feeding back
   // total temperatures instead would double-count and diverges for dense
   // spacings where the coupling sum exceeds 1.)
-  if (tin.rows() != rows_ || tin.cols() != cols_) tin.resize(rows_, cols_, 0.0);
-  const long long radius = table_.radius();
-  for (long long r = 0; r < static_cast<long long>(rows_); ++r) {
-    for (long long c = 0; c < static_cast<long long>(cols_); ++c) {
+  const auto rows = static_cast<long long>(rows_);
+  const auto cols = static_cast<long long>(cols_);
+  for (auto r = static_cast<long long>(rowBegin); r < static_cast<long long>(rowEnd);
+       ++r) {
+    for (long long c = 0; c < cols; ++c) {
       double acc = 0.0;
-      for (long long dr = -radius; dr <= radius; ++dr) {
-        const long long jr = r + dr;
-        if (jr < 0 || jr >= static_cast<long long>(rows_)) continue;
-        for (long long dc = -radius; dc <= radius; ++dc) {
-          const long long jc = c + dc;
-          if (jc < 0 || jc >= static_cast<long long>(cols_)) continue;
-          const double a = table_.at(dr, dc);
-          if (a == 0.0) continue;
-          acc += a * excess(static_cast<std::size_t>(jr), static_cast<std::size_t>(jc));
-        }
+      for (const Tap& tap : taps_) {
+        const long long jr = r + tap.dRow;
+        const long long jc = c + tap.dCol;
+        if (jr < 0 || jr >= rows || jc < 0 || jc >= cols) continue;
+        acc += tap.alpha *
+               excess(static_cast<std::size_t>(jr), static_cast<std::size_t>(jc));
       }
       tin(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) = acc;
     }

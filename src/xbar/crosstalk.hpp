@@ -77,6 +77,11 @@ class CrosstalkHub {
   /// caller's persistent buffer makes the per-substep update allocation-free).
   /// \p tin must not alias \p excess.
   void inputTemperatures(const nh::util::Matrix& excess, nh::util::Matrix& tin) const;
+  /// Same for rows [rowBegin, rowEnd) of \p tin only, which must already be
+  /// rows x cols. Disjoint row ranges may run concurrently; every output
+  /// cell's sum is the one the full form computes.
+  void inputTemperatures(const nh::util::Matrix& excess, nh::util::Matrix& tin,
+                         std::size_t rowBegin, std::size_t rowEnd) const;
 
   /// Steady-state total excess temperature per cell for a static per-cell
   /// power map: excess_i = rth*P_i + sum_j alpha_ij * rth*P_j.
@@ -84,9 +89,19 @@ class CrosstalkHub {
                                       double rth) const;
 
  private:
+  /// One nonzero coupling of the Eq. 5 stencil.
+  struct Tap {
+    long long dRow;
+    long long dCol;
+    double alpha;
+  };
+
   std::size_t rows_;
   std::size_t cols_;
   AlphaTable table_;
+  /// The table's nonzero offsets in dRow-major, then dCol order: the order
+  /// the stencil sum runs in.
+  std::vector<Tap> taps_;
 };
 
 }  // namespace nh::xbar

@@ -6,6 +6,7 @@
 
 #include "util/cancellation.hpp"
 #include "util/linsolve.hpp"
+#include "util/threadpool.hpp"
 
 namespace nh::xbar {
 
@@ -33,20 +34,44 @@ void FastEngine::resetEnergy() {
   energyByCell_.fill(0.0);
 }
 
-void FastEngine::refreshCrosstalk() {
+template <typename Body>
+void FastEngine::forRowBlocks(const Body& body) const {
+  const std::size_t cols = array_->cols();
+  nh::util::forBlocks(array_->rows(), (kParallelMinCells + cols - 1) / cols, body);
+}
+
+void FastEngine::addRowNonConverged() {
+  for (const std::size_t n : rowNonConverged_) conductionNonConverged_ += n;
+}
+
+template <typename RowWork>
+void FastEngine::refreshCrosstalk(const RowWork& rowWork) {
   const std::size_t rows = array_->rows();
   const std::size_t cols = array_->cols();
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      selfExcess_(r, c) = array_->cell(r, c).selfExcessTemperature();
-    }
+  if (crosstalkIn_.rows() != rows || crosstalkIn_.cols() != cols) {
+    crosstalkIn_.resize(rows, cols, 0.0);
   }
-  hub_.inputTemperatures(selfExcess_, crosstalkIn_);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      array_->cell(r, c).setCrosstalk(crosstalkIn_(r, c));
+  cellScratch_.resize(rows * cols);
+  rowNonConverged_.resize(rows);
+  forRowBlocks([&](std::size_t begin, std::size_t end) {
+    for (std::size_t r = begin; r < end; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        selfExcess_(r, c) = array_->cell(r, c).selfExcessTemperature();
+      }
     }
-  }
+  });
+  // The stencil reads the gathered snapshot, never a device, so a block may
+  // advance its own cells as soon as their inputs are set: no other block's
+  // stencil sees the change.
+  forRowBlocks([&](std::size_t begin, std::size_t end) {
+    hub_.inputTemperatures(selfExcess_, crosstalkIn_, begin, end);
+    for (std::size_t r = begin; r < end; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        array_->cell(r, c).setCrosstalk(crosstalkIn_(r, c));
+      }
+      rowWork(r);
+    }
+  });
 }
 
 void FastEngine::solveNetwork(const LineBias& bias) {
@@ -70,39 +95,14 @@ void FastEngine::solveNetwork(const LineBias& bias) {
   if (gMat_.rows() != rows || gMat_.cols() != cols) gMat_.resize(rows, cols, 0.0);
   dRow_.resize(rows);
   dCol_.resize(cols);
-  residual_.assign(n, 0.0);
+  residual_.resize(n);
   delta_.resize(n);
+  cellScratch_.resize(rows * cols);
+  rowNonConverged_.resize(rows);
 
+  bool converged = false;
   for (std::size_t iter = 0; iter < options_.maxNewtonIterations; ++iter) {
-    // Evaluate the Jacobian in block form: the word/bit diagonal blocks are
-    // diagonal (dRow_/dCol_) and the coupling block is the dense device
-    // conductance matrix gMat_.
-    std::fill(residual_.begin(), residual_.end(), 0.0);
-    for (std::size_t r = 0; r < rows; ++r) {
-      residual_[r] += gDrv * (lineVoltages_[r] - bias.wordLine[r]);
-      dRow_[r] = gDrv;
-    }
-    for (std::size_t c = 0; c < cols; ++c) {
-      const std::size_t bc = rows + c;
-      residual_[bc] += gDrv * (lineVoltages_[bc] - bias.bitLine[c]);
-      dCol_[c] = gDrv;
-    }
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        const std::size_t bc = rows + c;
-        const auto& device = array_->cell(r, c);
-        const double v = lineVoltages_[r] - lineVoltages_[bc];
-        const nh::spice::CurrentAndConductance e = device.evaluate(v);
-        if (!e.converged) ++conductionNonConverged_;
-        double g = e.conductance;
-        if (!(g > 0.0)) g = 1e-12;
-        residual_[r] += e.current;
-        residual_[bc] -= e.current;
-        gMat_(r, c) = g;
-        dRow_[r] += g;
-        dCol_[c] += g;
-      }
-    }
+    fillJacobian(bias, gDrv);
 
     if (options_.useSchurSolve) {
       solveNetworkSchur(rows, cols);
@@ -125,8 +125,58 @@ void FastEngine::solveNetwork(const LineBias& bias) {
                                   "non-finite update in line-network solve",
                                   iter + 1, maxStep);
     }
-    if (maxStep < options_.newtonTol) break;
+    if (maxStep < options_.newtonTol) {
+      converged = true;
+      break;
+    }
   }
+  if (!converged) ++newtonCapHits_;
+}
+
+void FastEngine::fillJacobian(const LineBias& bias, double gDrv) {
+  // The Jacobian in block form: the word/bit diagonal blocks are diagonal
+  // (dRow_/dCol_) and the coupling block is the dense device conductance
+  // matrix gMat_. A word line's residual and diagonal sum its own cells in
+  // column order, so row blocks fill them independently.
+  const std::size_t rows = array_->rows();
+  const std::size_t cols = array_->cols();
+  forRowBlocks([&](std::size_t begin, std::size_t end) {
+    for (std::size_t r = begin; r < end; ++r) {
+      double res = 0.0;
+      res += gDrv * (lineVoltages_[r] - bias.wordLine[r]);
+      double diag = gDrv;
+      std::size_t nonConverged = 0;
+      for (std::size_t c = 0; c < cols; ++c) {
+        const double v = lineVoltages_[r] - lineVoltages_[rows + c];
+        const nh::spice::CurrentAndConductance e = array_->cell(r, c).evaluate(v);
+        if (!e.converged) ++nonConverged;
+        double g = e.conductance;
+        if (!(g > 0.0)) g = 1e-12;
+        res += e.current;
+        diag += g;
+        cellScratch_[r * cols + c] = e.current;
+        gMat_(r, c) = g;
+      }
+      residual_[r] = res;
+      dRow_[r] = diag;
+      rowNonConverged_[r] = nonConverged;
+    }
+  });
+  // A bit line sums over rows: one serial pass in row order, the order of
+  // the row-by-row serial fill.
+  for (std::size_t c = 0; c < cols; ++c) {
+    double res = 0.0;
+    res += gDrv * (lineVoltages_[rows + c] - bias.bitLine[c]);
+    residual_[rows + c] = res;
+    dCol_[c] = gDrv;
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      residual_[rows + c] -= cellScratch_[r * cols + c];
+      dCol_[c] += gMat_(r, c);
+    }
+  }
+  addRowNonConverged();
 }
 
 void FastEngine::solveNetworkSchur(std::size_t rows, std::size_t cols) {
@@ -188,22 +238,26 @@ void FastEngine::solveNetworkDense(std::size_t rows, std::size_t cols) {
 
 void FastEngine::step(const LineBias& bias, double h) {
   solveNetwork(bias);
-  refreshCrosstalk();
   const std::size_t rows = array_->rows();
   const std::size_t cols = array_->cols();
-  for (std::size_t r = 0; r < rows; ++r) {
+  refreshCrosstalk([&](std::size_t r) {
+    std::size_t nonConverged = 0;
     for (std::size_t c = 0; c < cols; ++c) {
       const double v = lineVoltages_[r] - lineVoltages_[rows + c];
       auto& device = array_->cell(r, c);
       device.advance(v, h);
-      conductionNonConverged_ += device.lastAdvanceNonConverged();
+      nonConverged += device.lastAdvanceNonConverged();
       // Energy accounting from the device's final conduction operating
       // point of this substep (quasi-static within a substep).
       const double e = std::fabs(v * device.lastCurrent()) * h;
-      totalEnergy_ += e;
+      cellScratch_[r * cols + c] = e;
       energyByCell_(r, c) += e;
     }
-  }
+    rowNonConverged_[r] = nonConverged;
+  });
+  // Serial sum in row-major order, the order of the cell-by-cell engine.
+  for (const double e : cellScratch_) totalEnergy_ += e;
+  addRowNonConverged();
   time_ += h;
 }
 
@@ -237,16 +291,18 @@ void FastEngine::applyPulse(const LineBias& bias, double width, double gap) {
     // inside each device).
     const LineBias idle = idleBias(array_->rows(), array_->cols());
     solveNetwork(idle);
-    refreshCrosstalk();
-    for (std::size_t r = 0; r < array_->rows(); ++r) {
+    refreshCrosstalk([&](std::size_t r) {
+      std::size_t nonConverged = 0;
       for (std::size_t c = 0; c < array_->cols(); ++c) {
         auto& device = array_->cell(r, c);
         device.advance(0.0, gap);
-        conductionNonConverged_ += device.lastAdvanceNonConverged();
+        nonConverged += device.lastAdvanceNonConverged();
       }
-    }
+      rowNonConverged_[r] = nonConverged;
+    });
+    addRowNonConverged();
     // Crosstalk inputs decay with the sources; clear for the next pulse.
-    refreshCrosstalk();
+    refreshCrosstalk([](std::size_t) {});
     time_ += gap;
   } else {
     time_ += gap;

@@ -9,9 +9,22 @@
 /// bounded state-drift per batch makes the 10^5..10^6-pulse sweeps of
 /// Fig. 3 tractable; tests verify it against the unbatched engine and the
 /// full SPICE transient.
+///
+/// Parallelism: from kParallelMinCells (1,024) cells up, the per-cell loops
+/// of one attack -- the Jacobian fill, the crosstalk gather and stencil, the
+/// device advance -- run in contiguous row blocks on the shared thread pool
+/// (util::ThreadPool::shared(), sized by NH_THREADS). Every floating-point
+/// sum keeps the element order of the cell-by-cell loop: word-line sums run
+/// inside a row block, bit-line sums and the energy total in a serial pass
+/// in row-major order. Results are therefore bit-identical to a serial run
+/// at every thread count. An engine driven from inside a pool task (an
+/// nh_sweep grid point, a campaign trial) runs its blocks inline, so
+/// multi-point grids keep point-level parallelism only. The Schur solve
+/// stays serial.
 
 #include <cstddef>
 #include <functional>
+#include <vector>
 
 #include "util/linsolve.hpp"
 #include "util/matrix.hpp"
@@ -114,6 +127,9 @@ class FastEngine {
   /// Compact-model conduction solves that did not converge, counted from the
   /// Jacobian fill and from every device advance. 0 on a healthy run.
   std::size_t conductionNonConvergedTotal() const { return conductionNonConverged_; }
+  /// Line-network solves that left the Newton loop at maxNewtonIterations
+  /// without meeting newtonTol. 0 on a healthy run.
+  std::size_t newtonCapHitsTotal() const { return newtonCapHits_; }
 
   /// Energy dissipated in the array since construction / resetEnergy() [J].
   /// Batched pulses contribute their extrapolated share, so the value is
@@ -126,10 +142,21 @@ class FastEngine {
  private:
   /// One quasi-static substep of length h under a fixed bias.
   void step(const LineBias& bias, double h);
-  /// Update every device's crosstalk input from the hub.
-  void refreshCrosstalk();
+  /// body(begin, end) over row blocks: on the shared pool from
+  /// kParallelMinCells cells, else one inline call.
+  template <typename Body>
+  void forRowBlocks(const Body& body) const;
+  /// Add rowNonConverged_ to the non-converged total.
+  void addRowNonConverged();
+  /// Update every device's crosstalk input from the hub, running rowWork(r)
+  /// on each row once its inputs are set; the work may change that row's
+  /// devices (the crosstalk sources are read first).
+  template <typename RowWork>
+  void refreshCrosstalk(const RowWork& rowWork);
   /// Solve the line network; fills lineVoltages_.
   void solveNetwork(const LineBias& bias);
+  /// Evaluate the Newton Jacobian and KCL residual at lineVoltages_.
+  void fillJacobian(const LineBias& bias, double gDrv);
   /// Newton update via the bit-line Schur complement; fills delta_.
   void solveNetworkSchur(std::size_t rows, std::size_t cols);
   /// Newton update via the seed dense factorisation; fills delta_.
@@ -142,13 +169,20 @@ class FastEngine {
   double time_ = 0.0;
   std::size_t newtonTotal_ = 0;
   std::size_t conductionNonConverged_ = 0;
+  std::size_t newtonCapHits_ = 0;
   double totalEnergy_ = 0.0;
   nh::util::Matrix energyByCell_;
   /// energyByCell_ before the last detailed pulse (batch replay).
   nh::util::Matrix energyBeforeByCell_;
-  /// Crosstalk-hub input/output buffers, reused by every refreshCrosstalk().
+  /// Crosstalk-hub input/output buffers, reused by every crosstalk refresh.
   nh::util::Matrix selfExcess_;
   nh::util::Matrix crosstalkIn_;
+  /// Results of the last row-block loop, reduced by a serial pass in
+  /// row-major order: per cell, the Jacobian fill's currents (bit-line
+  /// residuals) or a substep's energy (totalEnergy_); per row, the
+  /// non-converged conduction solves.
+  std::vector<double> cellScratch_;
+  std::vector<std::size_t> rowNonConverged_;
 
   // Line-network solve workspace, persistent across substeps and pulses so
   // the million-pulse sweeps never reallocate it. gMat_/dRow_/dCol_ hold the

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <exception>
+#include <vector>
+
 #include "core/study.hpp"
+#include "util/cancellation.hpp"
+#include "util/threadpool.hpp"
 
 namespace nh::core {
 namespace {
@@ -174,6 +181,95 @@ TEST(AttackShape, ColumnPairSlowerThanRowPair) {
       study.attackPattern(AttackPattern::ColumnPair, HammerPulse{}, 2000000);
   ASSERT_TRUE(row.flipped && col.flipped);
   EXPECT_LT(row.pulsesToFlip, col.pulsesToFlip);
+}
+
+/// Everything one attack leaves behind, as raw bit patterns.
+struct AttackFootprint {
+  std::size_t pulsesToFlip = 0;
+  std::size_t pulsesSimulated = 0;
+  std::size_t newtonIterations = 0;
+  std::size_t conductionNonConverged = 0;
+  std::vector<std::uint64_t> energy;   ///< Total, then per cell.
+  std::vector<std::uint64_t> lineVoltages;
+  std::vector<std::uint64_t> nDisc;
+};
+
+/// Fig. 3-style single-aggressor centre attack on a fresh bench of \p study.
+AttackFootprint attackFootprint(const AttackStudy& study) {
+  const AttackStudy::Bench bench = study.makeBench();
+  const xbar::CrossbarArray& array = *bench.array;
+  AttackConfig attack;
+  attack.aggressors = {{array.rows() / 2, array.cols() / 2}};
+  attack.maxPulses = 100000;
+  const AttackResult r = AttackEngine(*bench.engine, study.config().detector).run(attack);
+  EXPECT_TRUE(r.flipped);
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const xbar::FastEngine& engine = *bench.engine;
+  AttackFootprint f;
+  f.pulsesToFlip = r.pulsesToFlip;
+  f.pulsesSimulated = r.pulsesSimulated;
+  f.newtonIterations = engine.newtonIterationsTotal();
+  f.conductionNonConverged = engine.conductionNonConvergedTotal();
+  f.energy.push_back(bits(engine.totalEnergy()));
+  for (std::size_t row = 0; row < array.rows(); ++row) {
+    for (std::size_t col = 0; col < array.cols(); ++col) {
+      f.energy.push_back(bits(engine.energyByCell()(row, col)));
+      f.nDisc.push_back(bits(array.cell(row, col).nDisc()));
+    }
+  }
+  for (const double v : engine.lastLineVoltages()) f.lineVoltages.push_back(bits(v));
+  return f;
+}
+
+TEST(AttackEngine, RowBlockParallelMatchesSerialBitForBit) {
+  // 32x32 = 1024 cells engages the row-block loops. From the test thread
+  // they run on the shared pool (on a multi-core host); from inside a pool
+  // task they run inline, cell by cell -- the serial reference.
+  StudyConfig cfg = fastConfig();
+  cfg.rows = 32;
+  cfg.cols = 32;
+  ASSERT_GE(cfg.rows * cfg.cols, xbar::kParallelMinCells);
+  const AttackStudy study(cfg);
+
+  const AttackFootprint parallel = attackFootprint(study);
+  AttackFootprint serial;
+  std::exception_ptr error;
+  util::ThreadPool::shared().submit([&] {
+    try {
+      serial = attackFootprint(study);
+    } catch (...) {
+      error = std::current_exception();
+    }
+  });
+  util::ThreadPool::shared().wait();
+  if (error) std::rethrow_exception(error);
+
+  EXPECT_EQ(parallel.pulsesToFlip, serial.pulsesToFlip);
+  EXPECT_EQ(parallel.pulsesSimulated, serial.pulsesSimulated);
+  EXPECT_EQ(parallel.newtonIterations, serial.newtonIterations);
+  EXPECT_EQ(parallel.conductionNonConverged, serial.conductionNonConverged);
+  EXPECT_EQ(parallel.energy, serial.energy);
+  EXPECT_EQ(parallel.lineVoltages, serial.lineVoltages);
+  EXPECT_EQ(parallel.nDisc, serial.nDisc);
+}
+
+TEST(AttackEngine, DeadlineStopsLargeAttack) {
+  // 90 nm needs ~10^5 pulses: far beyond a 50 ms deadline, which then
+  // fires inside the pulse loop or a row-block region. Either way the
+  // attack ends in CancelledError.
+  StudyConfig cfg;
+  cfg.rows = 32;
+  cfg.cols = 32;
+  cfg.spacing = 90e-9;
+  const AttackStudy study(cfg);
+  const AttackStudy::Bench bench = study.makeBench();
+  AttackConfig attack;
+  attack.aggressors = {{16, 16}};
+  const util::CancellationSource source = util::CancellationSource::withDeadline(0.05);
+  const util::CancellationScope scope(source.token());
+  EXPECT_THROW(AttackEngine(*bench.engine, cfg.detector).run(attack),
+               util::CancelledError);
 }
 
 }  // namespace

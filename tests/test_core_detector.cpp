@@ -70,6 +70,33 @@ TEST(BitFlipDetector, FirstLrsHonoursOrder) {
   EXPECT_EQ(*hit, (xbar::CellCoord{1, 1}));  // first in the monitored list
 }
 
+TEST(BitFlipDetector, FirstLrsReturnsEarliestVictimAcrossBlocks) {
+  // 40x40 = 1600 victims, above the parallel threshold, listed in reverse
+  // row-major order so list order and array order disagree. LRS victims sit
+  // in several blocks; the earliest in the list must win.
+  xbar::ArrayConfig cfg;
+  cfg.rows = 40;
+  cfg.cols = 40;
+  xbar::CrossbarArray array(cfg);
+  array.fill(xbar::CellState::Hrs);
+  std::vector<xbar::CellCoord> monitored;
+  for (std::size_t i = cfg.rows * cfg.cols; i-- > 0;) {
+    monitored.push_back({i / cfg.cols, i % cfg.cols});
+  }
+  ASSERT_GE(monitored.size(), xbar::kParallelMinCells);
+  BitFlipDetector detector;
+  EXPECT_FALSE(detector.firstLrs(array, monitored).has_value());
+
+  // Each new LRS victim sits earlier in the list than the ones before it.
+  for (const std::size_t listIndex : {1550u, 1200u, 810u, 333u, 99u}) {
+    array.setState(monitored[listIndex].row, monitored[listIndex].col,
+                   xbar::CellState::Lrs);
+    const auto hit = detector.firstLrs(array, monitored);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(*hit, monitored[listIndex]);
+  }
+}
+
 // ---- patterns --------------------------------------------------------------------
 
 TEST(Patterns, NamesAndEnumeration) {

@@ -5,6 +5,8 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "util/linsolve.hpp"
@@ -133,6 +135,65 @@ TEST(ThreadPool, NestedParallelForOnTheSamePoolCompletes) {
     pool.parallelFor(25, [&counter](std::size_t) { counter.fetch_add(1); });
   });
   EXPECT_EQ(counter.load(), 100);
+}
+
+TEST(ForBlocks, CoversEveryIndexOnceInContiguousBlocks) {
+  constexpr std::size_t kCount = 10007;
+  std::vector<int> hits(kCount, 0);
+  std::atomic<std::size_t> calls{0};
+  forBlocks(kCount, 0, [&](std::size_t begin, std::size_t end) {
+    ASSERT_LT(begin, end);
+    for (std::size_t i = begin; i < end; ++i) ++hits[i];
+    calls.fetch_add(1);
+  });
+  for (std::size_t i = 0; i < kCount; ++i) ASSERT_EQ(hits[i], 1) << i;
+  // Several blocks per thread on a multi-core host, one inline call on a
+  // single core.
+  if (defaultThreadCount() > 1) {
+    EXPECT_GT(calls.load(), ThreadPool::shared().size() + 1);
+    EXPECT_LE(calls.load(), 4 * (ThreadPool::shared().size() + 1));
+  } else {
+    EXPECT_EQ(calls.load(), 1u);
+  }
+}
+
+TEST(ForBlocks, RunsInlineBelowTheMinimumAndInsidePoolTasks) {
+  std::vector<std::pair<std::size_t, std::size_t>> seen;
+  forBlocks(100, 101, [&](std::size_t begin, std::size_t end) {
+    seen.emplace_back(begin, end);
+  });
+  EXPECT_EQ(seen, (std::vector<std::pair<std::size_t, std::size_t>>{{0, 100}}));
+
+  // Nested: a shared-pool task gets one block, on its own thread.
+  std::vector<std::pair<std::size_t, std::size_t>> nested;
+  ThreadPool::shared().submit([&] {
+    forBlocks(100000, 0, [&](std::size_t begin, std::size_t end) {
+      nested.emplace_back(begin, end);
+    });
+  });
+  ThreadPool::shared().wait();
+  EXPECT_EQ(nested, (std::vector<std::pair<std::size_t, std::size_t>>{{0, 100000}}));
+}
+
+TEST(ForBlocks, RethrowsTheLowestBlocksExceptionUnwrapped) {
+  // Every block throws; the serial loop would have thrown block 0's error,
+  // so that one surfaces, with its own type, whatever the schedule.
+  for (int round = 0; round < 20; ++round) {
+    try {
+      forBlocks(5000, 0, [](std::size_t begin, std::size_t) {
+        throw std::invalid_argument("block at " + std::to_string(begin));
+      });
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "block at 0");
+    }
+  }
+  // Only the last block fails: its SolverError passes through unwrapped.
+  EXPECT_THROW(forBlocks(5000, 0,
+                         [](std::size_t, std::size_t end) {
+                           if (end == 5000) throw SolverError("test.solve", "diverged");
+                         }),
+               SolverError);
 }
 
 TEST(ThreadPool, SharedPoolIsUsable) {

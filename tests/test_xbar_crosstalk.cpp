@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "fem/geometry.hpp"
+#include "util/rng.hpp"
 
 namespace nh::xbar {
 namespace {
@@ -133,6 +138,91 @@ TEST(CrosstalkHub, ShapeValidation) {
   EXPECT_THROW(hub.solveCoupledExcess(wrong, 1e6), std::invalid_argument);
   EXPECT_THROW(CrosstalkHub(0, 3, AlphaTable::analytic(50e-9)),
                std::invalid_argument);
+}
+
+/// Eq. 5 straight from the table: every offset of the (2r+1)^2 window in
+/// dRow-major order through the bounds-checked AlphaTable::at, zeros
+/// skipped. The hub's precomputed tap list must reproduce it bit for bit.
+util::Matrix stencilOracle(const AlphaTable& table, const util::Matrix& excess) {
+  const auto rows = static_cast<long long>(excess.rows());
+  const auto cols = static_cast<long long>(excess.cols());
+  const long long radius = table.radius();
+  util::Matrix tin(excess.rows(), excess.cols(), 0.0);
+  for (long long r = 0; r < rows; ++r) {
+    for (long long c = 0; c < cols; ++c) {
+      double acc = 0.0;
+      for (long long dr = -radius; dr <= radius; ++dr) {
+        const long long jr = r + dr;
+        if (jr < 0 || jr >= rows) continue;
+        for (long long dc = -radius; dc <= radius; ++dc) {
+          const long long jc = c + dc;
+          if (jc < 0 || jc >= cols) continue;
+          const double a = table.at(dr, dc);
+          if (a == 0.0) continue;
+          acc += a * excess(static_cast<std::size_t>(jr), static_cast<std::size_t>(jc));
+        }
+      }
+      tin(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) = acc;
+    }
+  }
+  return tin;
+}
+
+std::vector<std::uint64_t> bitsOf(const util::Matrix& m) {
+  std::vector<std::uint64_t> bits;
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (std::size_t c = 0; c < m.cols(); ++c) {
+      bits.push_back(std::bit_cast<std::uint64_t>(m(r, c)));
+    }
+  }
+  return bits;
+}
+
+TEST(CrosstalkHub, TapListMatchesTableStencilBitForBit) {
+  // Random tables (radius 0..4, about a third of the offsets zero), random
+  // array shapes from 1x1 to 12x12, random excess maps with zeros and
+  // negative entries.
+  util::Rng rng = util::Rng::forStream(2026, 7);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t side = 1 + 2 * rng.uniformInt(5);
+    fem::AlphaResult extraction;
+    extraction.selectedRow = side / 2;
+    extraction.selectedCol = side / 2;
+    extraction.alpha.resize(side, side, 0.0);
+    for (std::size_t r = 0; r < side; ++r) {
+      for (std::size_t c = 0; c < side; ++c) {
+        extraction.alpha(r, c) = rng.bernoulli(0.33) ? 0.0 : rng.uniform(0.0, 0.5);
+      }
+    }
+    const AlphaTable table = AlphaTable::fromExtraction(extraction);
+    const std::size_t rows = 1 + rng.uniformInt(12);
+    const std::size_t cols = 1 + rng.uniformInt(12);
+    util::Matrix excess(rows, cols, 0.0);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        if (!rng.bernoulli(0.2)) excess(r, c) = rng.uniform(-5.0, 300.0);
+      }
+    }
+    const CrosstalkHub hub(rows, cols, table);
+    const util::Matrix expected = stencilOracle(table, excess);
+    EXPECT_EQ(bitsOf(hub.inputTemperatures(excess)), bitsOf(expected))
+        << "trial " << trial;
+    // The row-range form fills the same values block by block.
+    util::Matrix blocks(rows, cols, -1.0);
+    const std::size_t split = rng.uniformInt(rows + 1);
+    hub.inputTemperatures(excess, blocks, split, rows);
+    hub.inputTemperatures(excess, blocks, 0, split);
+    EXPECT_EQ(bitsOf(blocks), bitsOf(expected)) << "trial " << trial;
+  }
+}
+
+TEST(CrosstalkHub, RowRangeNeedsSizedOutput) {
+  const CrosstalkHub hub(3, 3, AlphaTable::analytic(50e-9));
+  const util::Matrix excess(3, 3, 1.0);
+  util::Matrix unsized;
+  EXPECT_THROW(hub.inputTemperatures(excess, unsized, 0, 3), std::invalid_argument);
+  util::Matrix tin(3, 3, 0.0);
+  EXPECT_THROW(hub.inputTemperatures(excess, tin, 2, 4), std::invalid_argument);
 }
 
 TEST(AlphaTable, InvalidSpacingThrows) {

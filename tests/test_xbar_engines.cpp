@@ -164,6 +164,20 @@ TEST(FastEngine, HealthyAttackHasNoNonConvergedConductionSolves) {
   EXPECT_GT(flipAt, 0u);
   EXPECT_GT(engine.newtonIterationsTotal(), 0u);
   EXPECT_EQ(engine.conductionNonConvergedTotal(), 0u);
+  EXPECT_EQ(engine.newtonCapHitsTotal(), 0u);
+}
+
+TEST(FastEngine, CountsNewtonSolvesThatHitTheIterationCap) {
+  // One Newton step from the ideal-bias warm start never meets the 1e-9 V
+  // tolerance under a hammer bias: every biased solve hits the cap.
+  CrossbarArray array(config3x3());
+  array.setState(1, 1, CellState::Lrs);
+  FastEngineOptions opt;
+  opt.maxNewtonIterations = 1;
+  FastEngine engine(array, AlphaTable::analytic(50e-9), opt);
+  engine.applyPulse(selectBias(BiasScheme::Half, 3, 3, 1, 1, 1.05), 50e-9, 50e-9);
+  EXPECT_GT(engine.newtonCapHitsTotal(), 0u);
+  EXPECT_LE(engine.newtonCapHitsTotal(), engine.newtonIterationsTotal());
 }
 
 TEST(FastEngine, CountsNonConvergedConductionSolves) {
@@ -188,6 +202,22 @@ TEST(FastEngine, CountsNonConvergedConductionSolves) {
     EXPECT_THROW(engine.applyBias(bias, 10e-9), nh::util::SolverError);
     EXPECT_EQ(engine.conductionNonConvergedTotal(), 3u);
   }
+}
+
+TEST(FastEngine, NonFiniteDriveRaisesSolverErrorOnTheRowBlockPath) {
+  // 32x32 = 1024 cells: the Jacobian fill runs in row blocks on the pool.
+  // The NaN word line still ends in the unwrapped SolverError, after all 32
+  // of its cells were counted as non-converged.
+  ArrayConfig cfg;
+  cfg.rows = 32;
+  cfg.cols = 32;
+  ASSERT_GE(cfg.rows * cfg.cols, kParallelMinCells);
+  CrossbarArray array(cfg);
+  LineBias bias = selectBias(BiasScheme::Half, 32, 32, 16, 16, 1.05);
+  bias.wordLine[7] = std::nan("");
+  FastEngine engine(array, AlphaTable::analytic(50e-9));
+  EXPECT_THROW(engine.applyBias(bias, 10e-9), nh::util::SolverError);
+  EXPECT_EQ(engine.conductionNonConvergedTotal(), 32u);
 }
 
 TEST(FastEngine, OptionValidation) {
