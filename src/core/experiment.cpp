@@ -1001,8 +1001,8 @@ std::vector<nh::util::AsciiTable> toAsciiTables(const ExperimentResult& result) 
       // agreement rule (and error) the CSV expansion enforces.
       const std::size_t count =
           rowElementCount(result, row, /*tracesOnly=*/true, nullptr, nullptr);
-      // Decimate long traces the way the Fig. 1 bench always did: ~16
-      // evenly spaced lines plus the final sample.
+      // Decimate long traces to ~16 evenly spaced lines plus the final
+      // sample.
       const std::size_t every = (anyTrace && count > 16) ? count / 16 : 1;
       for (std::size_t k = 0; k < count; ++k) {
         if (k % every != 0 && k + 1 != count) continue;

@@ -11,8 +11,9 @@
 
 #include "core/campaign.hpp"
 #include "core/defense.hpp"
-#include "core/variability.hpp"
 #include "fem/alpha.hpp"
+#include "fem/transient.hpp"
+#include "jart/ivsweep.hpp"
 #include "jart/kinetics.hpp"
 #include "util/annotations.hpp"
 #include "util/csv.hpp"
@@ -40,6 +41,9 @@ constexpr Tol kFracTol{0.02, 5e-3, false};     ///< Fractions, alphas, ratios.
 constexpr Tol kRatioTol{0.1, 0.05, false};     ///< Cross-row count ratios.
 constexpr Tol kKineticsTol{0.15, 1e-10, false};///< t_SET (exp. sensitivity).
 constexpr Tol kIgnoreTol{0.0, 0.0, true};      ///< Wall-clock measurements.
+constexpr Tol kRthTol{5e-3, 0.0, false};       ///< FEM R_th and powers.
+constexpr Tol kRSquaredTol{1e-3, 1e-6, false}; ///< Regression R^2.
+constexpr Tol kCurrentTol{0.05, 1e-12, false}; ///< Device currents [A].
 
 /// SI formatting after scaling the stored cell value (cells keep the CSV
 /// unit, e.g. nanoseconds; the ASCII table shows "50 ns" via scale 1e-9).
@@ -55,6 +59,14 @@ Formatter percent(int decimals) {
   return [decimals](const ResultValue& v) {
     if (v.kind == ResultValue::Kind::Text) return v.text;
     return AsciiTable::fixed(100.0 * v.number, decimals) + " %";
+  };
+}
+
+/// "1.931e+06" with \p decimals mantissa digits.
+Formatter scientific(int decimals) {
+  return [decimals](const ResultValue& v) {
+    if (v.kind == ResultValue::Kind::Text) return v.text;
+    return AsciiTable::scientific(v.number, decimals);
   };
 }
 
@@ -621,7 +633,7 @@ ExperimentSpec variabilitySpec() {
   spec.tableTitle = "pulses-to-flip distribution under parameter variability";
   spec.base.spacing = 30e-9;
   // Each trial perturbs the cell parameters and builds its own study inside
-  // runVariabilityStudy, so the dedup cache has nothing to share here.
+  // runCampaign, so the dedup cache has nothing to share here.
   spec.buildStudies = false;
   spec.axes = {{"sigma", {0.02, 0.05, 0.10}, {}, {}}};
   spec.columns = {
@@ -635,19 +647,23 @@ ExperimentSpec variabilitySpec() {
        kRatioTol},
   };
   spec.run = [](const PointContext& ctx) {
-    VariabilityConfig cfg;
+    CampaignConfig cfg;
     cfg.base = ctx.config;
     cfg.trials = ctx.fast ? 5 : 25;
     cfg.sigma = ctx.value("sigma");
+    cfg.seed = 1234;
     cfg.budget = ctx.maxPulses;
-    const VariabilityResult r = runVariabilityStudy(cfg);
+    const CampaignResult r = runCampaign(cfg);
+    const auto [lo, hi] =
+        std::minmax_element(r.pulsesPerFlip.begin(), r.pulsesPerFlip.end());
+    const bool flips = !r.pulsesPerFlip.empty();
     return std::vector<ResultValue>{
         ResultValue::num(cfg.sigma),
         ResultValue::num(static_cast<double>(r.trials)),
         ResultValue::num(r.flipRate),
-        ResultValue::num(static_cast<double>(r.minPulses)),
-        ResultValue::num(static_cast<double>(r.medianPulses)),
-        ResultValue::num(static_cast<double>(r.maxPulses)),
+        ResultValue::num(flips ? static_cast<double>(*lo) : 0.0),
+        ResultValue::num(r.medianPulses),
+        ResultValue::num(flips ? static_cast<double>(*hi) : 0.0),
         ResultValue::num(r.spreadDecades)};
   };
   spec.notes = {
@@ -1362,26 +1378,19 @@ ExperimentSpec fig2aMatrixSpec() {
   // The 5 nm voxel is required to resolve the 5 nm filament and the solve
   // takes only a few seconds, so fast mode runs the full extraction.
   spec.axes = {{"target_K", {947.2}, {}, {}}};
-  const Formatter sci3 = [](const ResultValue& v) {
-    if (v.kind == ResultValue::Kind::Text) return v.text;
-    return AsciiTable::scientific(v.number, 3);
-  };
   spec.columns = {
       {"target_K", "T_centre target", colfmt::fixed(1, " K")},
-      {"rth_K_per_W", "R_th [K/W]", sci3, Shape::Scalar, Tol{5e-3, 0.0, false}},
+      {"rth_K_per_W", "R_th [K/W]", scientific(3), Shape::Scalar, kRthTol},
       {"rth_r_squared", "R^2", colfmt::fixed(6), Shape::Scalar,
-       Tol{1e-3, 1e-6, false}},
-      {"power_W", "power [W]", sci3, Shape::Scalar, Tol{5e-3, 0.0, false}},
+       kRSquaredTol},
+      {"power_W", "power [W]", scientific(3), Shape::Scalar, kRthTol},
       {"temperature_K", "temperature [K]", colfmt::fixed(1), Shape::Matrix,
        kTempTol},
       {"alpha", "alpha (Eq. 4)", colfmt::fixed(4), Shape::Matrix, kFracTol},
   };
   spec.run = [](const PointContext& ctx) {
-    fem::CrossbarLayout layout;
-    const auto model = fem::CrossbarModel3D::build(layout);
     const auto extraction =
-        fem::extractAlpha(model, fem::MaterialTable::defaults(), 2, 2,
-                          {0.05e-3, 0.10e-3, 0.15e-3}, 300.0);
+        fem::extractCentreAlpha(fem::CrossbarLayout{}, 300.0);
     const double power = (ctx.value("target_K") - 300.0) / extraction.rTh;
     const auto temps = extraction.predictTemperatures(power);
     std::vector<double> tempValues;
@@ -1428,12 +1437,7 @@ ExperimentSpec kineticsLandscapeSpec() {
   spec.columns = {
       {"temperature_K", "T0", colfmt::fixed(0, " K")},
       {"voltage_V", "V", colfmt::fixed(3, " V")},
-      {"t_set_s", "t_SET [s]",
-       [](const ResultValue& v) {
-         if (v.kind == ResultValue::Kind::Text) return v.text;
-         return AsciiTable::scientific(v.number, 2);
-       },
-       Shape::Scalar, kKineticsTol},
+      {"t_set_s", "t_SET [s]", scientific(2), Shape::Scalar, kKineticsTol},
       {"switched", "switched", colfmt::yesNo()},
   };
   spec.run = [](const PointContext& ctx) {
@@ -1468,6 +1472,181 @@ ExperimentSpec kineticsLandscapeSpec() {
   return spec;
 }
 
+// ---- FEM and compact-model validation -------------------------------------
+
+ExperimentSpec alphaExtractionSpec() {
+  ExperimentSpec spec;
+  spec.name = "alpha_extraction";
+  spec.title = "Fig. 2a/2b -- R_th and thermal-coupling coefficients";
+  spec.description =
+      "FEM power sweep 0.05/0.10/0.15 mW into the centre filament of the "
+      "5x5 crossbar, linear regression per cell (Eq. 3/4), T0 = 300 K";
+  spec.paperShape =
+      "alphas grow as spacing shrinks; word-line neighbours couple ~2x "
+      "stronger than bit-line neighbours";
+  spec.tableTitle = "FEM-extracted crosstalk coefficients (5x5 crossbar)";
+  spec.buildStudies = false;  // runs the FEM extraction itself
+  // The analytic AlphaTable constants were fitted to these extractions.
+  spec.axes = {{"spacing", {10e-9, 50e-9, 90e-9}, {}, {}}};
+  spec.columns = {
+      {"spacing_nm", "spacing", siScaled(1e-9, "m")},
+      {"rth_K_per_W", "R_th [K/W]", scientific(3), Shape::Scalar, kRthTol},
+      {"rth_r_squared", "R^2", colfmt::fixed(6), Shape::Scalar,
+       kRSquaredTol},
+      {"alpha_word", "a(0,1) word", colfmt::fixed(4), Shape::Scalar,
+       kFracTol},
+      {"alpha_bit", "a(1,0) bit", colfmt::fixed(4), Shape::Scalar, kFracTol},
+      {"alpha_diag", "a(1,1) diag", colfmt::fixed(4), Shape::Scalar,
+       kFracTol},
+      {"alpha_word2", "a(0,2)", colfmt::fixed(4), Shape::Scalar, kFracTol},
+      {"alpha_corner", "a(2,2)", colfmt::fixed(4), Shape::Scalar, kFracTol},
+      {"alpha_sum", "sum(a)", colfmt::fixed(3), Shape::Scalar, kFracTol},
+  };
+  spec.run = [](const PointContext& ctx) {
+    fem::CrossbarLayout layout;
+    layout.spacing = ctx.value("spacing");
+    const fem::AlphaResult r = fem::extractCentreAlpha(layout, 300.0);
+    double total = 0.0;
+    for (std::size_t i = 0; i < r.alpha.rows(); ++i) {
+      for (std::size_t j = 0; j < r.alpha.cols(); ++j) {
+        if (i != r.selectedRow || j != r.selectedCol) total += r.alpha(i, j);
+      }
+    }
+    // Centre cell (2, 2): (2, 1) shares its word line, (1, 2) its bit line.
+    return std::vector<ResultValue>{ResultValue::num(layout.spacing * 1e9),
+                                    ResultValue::num(r.rTh),
+                                    ResultValue::num(r.rThRSquared),
+                                    ResultValue::num(r.alpha(2, 1)),
+                                    ResultValue::num(r.alpha(1, 2)),
+                                    ResultValue::num(r.alpha(1, 1)),
+                                    ResultValue::num(r.alpha(2, 0)),
+                                    ResultValue::num(r.alpha(0, 0)),
+                                    ResultValue::num(total)};
+  };
+  spec.notes = {"a(dr,dc): dr along a bit line, dc along a word line (the",
+                "filament sits on the bottom word line, hence the asymmetry)."};
+  return spec;
+}
+
+ExperimentSpec ivHysteresisSpec() {
+  ExperimentSpec spec;
+  spec.name = "device_iv_hysteresis";
+  spec.title = "device -- I-V hysteresis of the JART-style compact model";
+  spec.description =
+      "one cell, triangular sweep 0 -> +1.3 V -> -1.5 V -> 0, T0 = 300 K";
+  spec.paperShape =
+      "abrupt SET near ~1 V on the up-branch, gradual RESET on the "
+      "negative branch, >10x read-current hysteresis at +0.2 V";
+  spec.tableTitle = "I-V loop metrics and samples";
+  spec.buildStudies = false;  // single-device study, no crossbar
+  // 10 V/us: a slow, DC-like sweep.
+  spec.axes = {{"ramp_rate", {1e7}, {}, {}}};
+  spec.columns = {
+      {"ramp_rate_V_per_s", "dV/dt", colfmt::si("V/s", 0)},
+      {"v_set_V", "V_SET", colfmt::fixed(2, " V"), Shape::Scalar, kFracTol},
+      {"v_reset_V", "V_RESET", colfmt::fixed(2, " V"), Shape::Scalar,
+       kFracTol},
+      {"hysteresis", "hysteresis @ +0.2 V", colfmt::fixed(1, "x"),
+       Shape::Scalar, kRatioTol},
+      {"set_ok", "SET", colfmt::yesNo()},
+      {"reset_ok", "RESET", colfmt::yesNo()},
+      {"time_s", "t [s]", colfmt::si("s", 2), Shape::Trace, kTimeTol},
+      {"voltage_V", "V [V]", colfmt::fixed(3), Shape::Trace, kFracTol},
+      {"current_A", "I [A]", scientific(2), Shape::Trace, kCurrentTol},
+      {"state_x", "state x", colfmt::fixed(3), Shape::Trace, kFracTol},
+      {"temperature_K", "T [K]", colfmt::fixed(1), Shape::Trace, kTempTol},
+  };
+  spec.run = [](const PointContext& ctx) {
+    const jart::Params params = jart::Params::paperDefaults();
+    jart::IvSweepOptions options;
+    options.rampRate = ctx.value("ramp_rate");
+    if (ctx.fast) options.samples = 120;
+    const auto loop = jart::sweepIV(params, options);
+    const auto metrics = jart::analyseLoop(params, loop);
+    std::vector<double> time, voltage, current, state, temperature;
+    for (const auto& p : loop) {
+      time.push_back(p.time);
+      voltage.push_back(p.voltage);
+      current.push_back(p.current);
+      state.push_back(params.normalisedState(p.nDisc));
+      temperature.push_back(p.temperatureK);
+    }
+    return std::vector<ResultValue>{
+        ResultValue::num(options.rampRate),
+        ResultValue::num(metrics.vSet),
+        ResultValue::num(metrics.vReset),
+        ResultValue::num(metrics.hysteresis),
+        ResultValue::boolean(metrics.switchedToLrs),
+        ResultValue::boolean(metrics.switchedBack),
+        ResultValue::trace(std::move(time)),
+        ResultValue::trace(std::move(voltage)),
+        ResultValue::trace(std::move(current)),
+        ResultValue::trace(std::move(state)),
+        ResultValue::trace(std::move(temperature))};
+  };
+  spec.notes = {
+      "not a paper figure: the DC fingerprint any ReRAM compact model is",
+      "judged by, and the V_SET ~ 1.05 V operating point the attack uses."};
+  return spec;
+}
+
+ExperimentSpec femTransientSpec() {
+  ExperimentSpec spec;
+  spec.name = "fem_thermal_transient";
+  spec.title = "validation -- transient FEM thermal step response";
+  spec.description =
+      "c dT/dt = div(kappa grad T) + q, implicit Euler (0.25 ns steps), "
+      "5x5 crossbar at 50 nm, 0.1 mW step into the centre filament";
+  spec.paperShape =
+      "filament tau ~ ns, neighbour crosstalk settles within a few ns -- "
+      "both well below the 10-100 ns pulse lengths";
+  spec.tableTitle = "step-response time constants (63% rise)";
+  spec.buildStudies = false;  // runs the FEM transient itself
+  spec.axes = {{"t_stop", {30e-9}, {10e-9}, {}}};
+  spec.columns = {
+      {"t_stop_ns", "t_stop", siScaled(1e-9, "s")},
+      {"tau_heated_s", "tau heated", colfmt::si("s", 2), Shape::Scalar,
+       kTimeTol},
+      {"tau_word_s", "tau word-line", colfmt::si("s", 2), Shape::Scalar,
+       kTimeTol},
+      {"tau_bit_s", "tau bit-line", colfmt::si("s", 2), Shape::Scalar,
+       kTimeTol},
+      {"tau_diag_s", "tau diagonal", colfmt::si("s", 2), Shape::Scalar,
+       kTimeTol},
+      {"time_ns", "t [ns]", colfmt::fixed(2), Shape::Trace, kTimeTol},
+      {"heated_K", "heated [K]", colfmt::fixed(1), Shape::Trace, kTempTol},
+      {"word_K", "word-line [K]", colfmt::fixed(1), Shape::Trace, kTempTol},
+      {"bit_K", "bit-line [K]", colfmt::fixed(1), Shape::Trace, kTempTol},
+      {"diag_K", "diagonal [K]", colfmt::fixed(1), Shape::Trace, kTempTol},
+  };
+  spec.run = [](const PointContext& ctx) {
+    const auto model = fem::CrossbarModel3D::build(fem::CrossbarLayout{});
+    fem::TransientScenario scenario;
+    scenario.model = &model;
+    scenario.tStop = ctx.value("t_stop");
+    const fem::TransientSolution sol = fem::solveThermalStep(scenario);
+    if (!sol.converged || sol.cellTemperature.size() < 4) {
+      throw std::runtime_error("fem_thermal_transient: transient solve failed");
+    }
+    std::vector<double> timeNs;
+    for (const double t : sol.time) timeNs.push_back(t * 1e9);
+    std::vector<ResultValue> row{ResultValue::num(scenario.tStop * 1e9)};
+    for (std::size_t k = 0; k < 4; ++k) {
+      row.push_back(ResultValue::num(sol.riseTimeConstant(k)));
+    }
+    row.push_back(ResultValue::trace(std::move(timeNs)));
+    for (std::size_t k = 0; k < 4; ++k) {
+      row.push_back(ResultValue::trace(sol.cellTemperature[k]));
+    }
+    return row;
+  };
+  spec.notes = {
+      "the compact model's tauThermal (2 ns) and the fast engine's short",
+      "first substep are justified when these taus << pulse length; see",
+      "ablation_thermal_tau for the sensitivity."};
+  return spec;
+}
+
 // ---- registry plumbing ----------------------------------------------------
 
 struct Entry {
@@ -1483,7 +1662,7 @@ struct Registry {
 
   Registry() {
     // Names are passed explicitly (they are compile-time constants in each
-    // factory) so registration does not build and discard 17 full specs.
+    // factory) so registration does not build and discard every spec.
     auto add = [this](std::string name, std::string summary,
                       std::function<ExperimentSpec()> factory) {
       entries.emplace(std::move(name),
@@ -1546,6 +1725,15 @@ struct Registry {
     add("kinetics_landscape",
         "Sec. III: switching-time landscape t_SET(V, T) (pivoted table)",
         kineticsLandscapeSpec);
+    add("alpha_extraction",
+        "Fig. 2a/2b: FEM R_th and crosstalk alphas vs electrode spacing",
+        alphaExtractionSpec);
+    add("device_iv_hysteresis",
+        "device: quasi-static I-V hysteresis loop of one cell (time series)",
+        ivHysteresisSpec);
+    add("fem_thermal_transient",
+        "validation: transient FEM step response and thermal time constants",
+        femTransientSpec);
   }
 };
 

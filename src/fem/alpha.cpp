@@ -96,6 +96,14 @@ AlphaResult extractAlpha(const CrossbarModel3D& model,
   return result;
 }
 
+AlphaResult extractCentreAlpha(const CrossbarLayout& layout, double ambientK,
+                               const DiffusionOptions& options) {
+  const auto model = CrossbarModel3D::build(layout);
+  return extractAlpha(model, MaterialTable::defaults(), layout.rows / 2,
+                      layout.cols / 2, {0.05e-3, 0.10e-3, 0.15e-3}, ambientK,
+                      options);
+}
+
 AlphaResult extractAlphaCoupled(const CrossbarModel3D& model,
                                 const MaterialTable& materials,
                                 std::size_t selectedRow, std::size_t selectedCol,

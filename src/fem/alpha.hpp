@@ -45,6 +45,13 @@ AlphaResult extractAlpha(const CrossbarModel3D& model,
                          std::size_t selectedCol, const std::vector<double>& powers,
                          double ambientK, const DiffusionOptions& options = {});
 
+/// The paper's extraction procedure (Eq. 3/4) on \p layout: build the FEM
+/// model and sweep 0.05/0.10/0.15 mW into the centre cell's filament, the
+/// range that brackets a hammered cell's dissipation (~0.1 mW). The study
+/// construction and the Fig. 2a / alpha_extraction experiments all use it.
+AlphaResult extractCentreAlpha(const CrossbarLayout& layout, double ambientK,
+                               const DiffusionOptions& options = {});
+
 /// Extract via the coupled flow (closer to the paper: a V_SET voltage sweep
 /// on the selected LRS cell under the V/2 scheme; P = dissipated power of
 /// the selected cell from the potential solve).

@@ -88,6 +88,7 @@ Conduction Model::solveConduction(double voltage, double nDisc,
     double slope = 0.0;
     schottkyBranch(p, true, x, temperatureK).current(0.0, slope);
     out.conductance = terminalConductance(slope);
+    out.converged = std::isfinite(out.conductance);
     return out;
   }
 
@@ -127,7 +128,11 @@ Conduction Model::solveConduction(double voltage, double nDisc,
   // resistance (which sits in the electrodes, away from the filament).
   out.powerFilament = std::fabs(i * (voltage - i * p.rSeries));
   out.conductance = terminalConductance(slope);
-  out.converged = converged;
+  // A NaN state or temperature leaves the bracket finite, so the bisection
+  // still settles on an endpoint: only a finite result counts as converged.
+  out.converged = converged && std::isfinite(out.current) &&
+                  std::isfinite(out.vSchottky) && std::isfinite(out.vDisc) &&
+                  std::isfinite(out.conductance);
   return out;
 }
 

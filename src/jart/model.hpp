@@ -21,7 +21,7 @@ struct Conduction {
   /// the solved interface voltage and R the ohmic (disc + plug + series)
   /// resistance. At V = 0 it is the zero-bias slope of the forward branch.
   double conductance = 0.0;
-  bool converged = true;        ///< Internal solve converged.
+  bool converged = true;        ///< Solve converged to a finite result.
 };
 
 /// Sign convention: V > 0 is the SET polarity (drives the cell toward LRS);
@@ -34,10 +34,12 @@ class Model {
 
   /// Solve the internal voltage division and return terminal current, the
   /// disc field needed by the kinetics and the terminal conductance, all
-  /// from one solve. Monotone 1-D Newton with a bisection safeguard; always
-  /// converges on the bracketed interval. The per-(N_disc, T) Schottky
-  /// constants are computed once per call and each Newton iteration uses the
-  /// analytic interface derivative (one exp per iteration).
+  /// from one solve. Monotone 1-D Newton with a bisection safeguard; for
+  /// finite inputs it always converges on the bracketed interval, and a
+  /// non-finite result reports converged = false. The per-(N_disc, T)
+  /// Schottky constants are computed once per call and each Newton
+  /// iteration uses the analytic interface derivative (one exp per
+  /// iteration).
   Conduction solveConduction(double voltage, double nDisc, double temperatureK) const;
 
   /// Schottky interface current at interface voltage \p vs [A].

@@ -11,7 +11,7 @@ namespace nh::xbar {
 namespace {
 
 /// Canonical alpha tables extracted with nh::fem::extractAlpha from the
-/// default 5x5 CrossbarLayout (see tools in bench/alpha_extraction) at three
+/// default 5x5 CrossbarLayout (see the alpha_extraction experiment) at three
 /// electrode spacings. Offsets are (|dRow|, |dCol|); dRow = along a bit
 /// line (cells share the top electrode), dCol = along a word line (cells
 /// share the bottom electrode the filament sits on, hence the stronger

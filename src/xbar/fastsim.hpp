@@ -133,7 +133,7 @@ class FastEngine {
 
   /// Energy dissipated in the array since construction / resetEnergy() [J].
   /// Batched pulses contribute their extrapolated share, so the value is
-  /// meaningful for attack-cost accounting (see bench/attack_energy).
+  /// meaningful for attack-cost accounting (see the attack_energy experiment).
   double totalEnergy() const { return totalEnergy_; }
   /// Per-cell energy breakdown [J] (rows x cols).
   const nh::util::Matrix& energyByCell() const { return energyByCell_; }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -92,6 +93,9 @@ TEST(Campaign, ConfidenceIntervalsBracketTheEstimates) {
   EXPECT_LE(r.medianPulsesCI.lo, r.medianPulses);
   EXPECT_GE(r.medianPulsesCI.hi, r.medianPulses);
   EXPECT_EQ(r.pulsesPerFlip.size(), 12u);
+  // The trials differ: variability spreads the pulses-to-flip.
+  EXPECT_LT(r.p10Pulses, r.p90Pulses);
+  EXPECT_GT(r.spreadDecades, 0.0);
 }
 
 TEST(Campaign, NoFlipsGivesDefinedDegenerateStatistics) {
@@ -130,6 +134,33 @@ TEST(Campaign, Validation) {
   cfg = quickCampaign();
   cfg.confidence = 1.0;
   EXPECT_THROW(runCampaign(cfg), std::invalid_argument);
+}
+
+// ---- physics of the spread ----------------------------------------------
+
+TEST(Campaign, LargerSigmaSpreadsMore) {
+  CampaignConfig narrow = quickCampaign();
+  narrow.sigma = 0.01;
+  CampaignConfig wide = quickCampaign();
+  wide.sigma = 0.10;
+  wide.budget = 5'000'000;  // slow corners need more budget
+  const CampaignResult a = runCampaign(narrow);
+  const CampaignResult b = runCampaign(wide);
+  ASSERT_GT(a.flips, 0u);
+  ASSERT_GT(b.flips, 0u);
+  EXPECT_GT(b.spreadDecades, a.spreadDecades);
+}
+
+TEST(Campaign, ZeroSigmaCollapsesSpread) {
+  CampaignConfig cfg = quickCampaign(6);
+  cfg.sigma = 0.0;
+  const CampaignResult r = runCampaign(cfg);
+  ASSERT_EQ(r.flips, r.trials);
+  EXPECT_EQ(std::count(r.pulsesPerFlip.begin(), r.pulsesPerFlip.end(),
+                       r.pulsesPerFlip.front()),
+            static_cast<std::ptrdiff_t>(r.trials));
+  EXPECT_DOUBLE_EQ(r.p10Pulses, r.p90Pulses);
+  EXPECT_NEAR(r.spreadDecades, 0.0, 1e-12);
 }
 
 TEST(Campaign, HealthMatrixConcentratesOnNeighbours) {
@@ -331,10 +362,9 @@ TEST(CampaignExperiments, FlipRateJsonIsByteIdenticalAcrossThreads) {
   EXPECT_EQ(rowsJson(serial), rowsJson(parallel));  // byte-identical data
 }
 
-TEST(CampaignExperiments, AblationVariabilitySerialPathJsonIsThreadInvariant) {
-  // The legacy sequential RNG plan stays serial *within* a point; the grid
-  // points still run on the pool. 1-vs-4-thread documents must match byte
-  // for byte.
+TEST(CampaignExperiments, AblationVariabilityJsonIsThreadInvariant) {
+  // Each sigma point runs a campaign inside a grid point on the pool.
+  // 1-vs-4-thread documents must match byte for byte.
   RunOptions options;
   options.fast = true;
   options.threads = 1;

@@ -6,6 +6,8 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/baseline.hpp"
 
@@ -14,7 +16,7 @@ namespace {
 
 TEST(ExperimentRegistry, CatalogCoversThePaperEvaluation) {
   const auto entries = registeredExperiments();
-  EXPECT_GE(entries.size(), 17u);
+  EXPECT_GE(entries.size(), 24u);
 
   std::set<std::string> names;
   for (const auto& e : entries) {
@@ -31,7 +33,8 @@ TEST(ExperimentRegistry, CatalogCoversThePaperEvaluation) {
         "ablation_hammer_amplitude", "ablation_scheme_defense",
         "ablation_thermal_tau", "ablation_variability",
         "scaling_victim_distance", "attack_energy", "sneak_path_margin",
-        "endurance_half_select"}) {
+        "endurance_half_select", "alpha_extraction", "device_iv_hysteresis",
+        "fem_thermal_transient"}) {
     EXPECT_TRUE(names.count(required)) << "missing experiment: " << required;
     EXPECT_TRUE(hasExperiment(required));
   }
@@ -126,11 +129,16 @@ TEST(ExperimentRegistry, EveryExperimentRunsInFastMode) {
     SCOPED_TRACE(entry.name);
     const ExperimentSpec spec = makeExperiment(entry.name);
     // The scaling sweep's fast grid tops out at 1024x1024 (its acceptance
-    // point, exercised by the CLI and `check --all --fast`); the unit-test
-    // smoke only needs the machinery, so shrink the axis here.
+    // point), and the FEM validation runs take seconds per point; the CLI
+    // and `check --all --fast` run the full fast grids. The unit-test smoke
+    // only needs the machinery, so shrink those axes here.
     RunOptions pointOptions = options;
     if (entry.name == "scaling_array_size") {
       pointOptions.axisOverrides = {{"size", {8, 16}}};
+    } else if (entry.name == "alpha_extraction") {
+      pointOptions.axisOverrides = {{"spacing", {10e-9}}};
+    } else if (entry.name == "fem_thermal_transient") {
+      pointOptions.axisOverrides = {{"t_stop", {2e-9}}};
     }
     const ExperimentResult result = runExperiment(spec, pointOptions);
 
@@ -196,20 +204,54 @@ TEST(ExperimentRegistry, KineticsLandscapeBaselineRoundTrips) {
   std::filesystem::remove_all(dir);
 }
 
-/// Cross-product determinism through the registry path: a real two-axis
-/// grid (fig3b in fast mode) must be bit-identical for 1 vs N threads.
-TEST(ExperimentRegistry, Fig3bFastGridIsThreadCountInvariant) {
-  const ExperimentSpec spec = makeExperiment("fig3b_electrode_spacing");
-  RunOptions serial;
-  serial.fast = true;
-  serial.threads = 1;
-  RunOptions parallel;
-  parallel.fast = true;
-  parallel.threads = 4;
-  const ExperimentResult a = runExperiment(spec, serial);
-  const ExperimentResult b = runExperiment(spec, parallel);
-  EXPECT_EQ(a.rows, b.rows);
-  EXPECT_EQ(a.configDigest, b.configDigest);
+/// Cross-product determinism through the registry path: the Fig. 3 grids
+/// must be bit-identical for 1 vs 4 private workers and for the shared pool
+/// (threads = 0). The study cache is cleared before every run, so each
+/// thread count builds its own studies.
+TEST(ExperimentRegistry, Fig3GridsAreThreadCountInvariant) {
+  // A 3x3 array at 10 nm flips in O(10^3) pulses; the budget caps the slow
+  // points without losing comparability.
+  const auto small = [](const char* name) {
+    ExperimentSpec spec = makeExperiment(name);
+    spec.base.rows = 3;
+    spec.base.cols = 3;
+    spec.base.spacing = 10e-9;
+    return spec;
+  };
+  RunOptions fast;
+  fast.fast = true;
+  fast.maxPulsesOverride = 200'000;
+  std::vector<std::pair<ExperimentSpec, RunOptions>> cases = {
+      {small("fig3a_pulse_length"), fast},
+      {small("fig3b_electrode_spacing"), fast},
+      {small("fig3d_attack_patterns"), fast},
+  };
+  // The FEM-alpha path: every study construction runs a warm-started power
+  // sweep (each CG solve seeded with the previous point's field). The chain
+  // lives inside one construction, so the parallel grid must stay
+  // bit-identical to the serial run.
+  ExperimentSpec fem = small("fig3c_ambient_temperature");
+  fem.base.useFemAlphas = true;
+  RunOptions femOptions;
+  femOptions.axisOverrides = {{"ambient", {300.0, 340.0}},
+                              {"width", {50e-9}}};
+  femOptions.maxPulsesOverride = 50'000;
+  cases.emplace_back(fem, femOptions);
+
+  for (auto& [spec, options] : cases) {
+    SCOPED_TRACE(spec.name);
+    clearStudyCache();
+    options.threads = 1;
+    const ExperimentResult serial = runExperiment(spec, options);
+    ASSERT_TRUE(serial.complete());
+    for (const std::size_t threads : {std::size_t{4}, std::size_t{0}}) {
+      clearStudyCache();
+      options.threads = threads;
+      const ExperimentResult other = runExperiment(spec, options);
+      EXPECT_EQ(serial.rows, other.rows) << threads << " threads";
+      EXPECT_EQ(serial.configDigest, other.configDigest);
+    }
+  }
 }
 
 }  // namespace

@@ -1,10 +1,17 @@
 /// End-to-end pipeline tests: FEM extraction -> crosstalk table -> circuit
 /// engine -> attack, plus cross-checks between the analytic alpha tables and
-/// fresh FEM extractions, and the normal-operation safety property the
-/// security claim rests on.
+/// fresh FEM extractions, the normal-operation safety property the
+/// security claim rests on, and the Fig. 3 series shapes.
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "core/experiment.hpp"
+#include "core/experiment_registry.hpp"
 #include "core/study.hpp"
 #include "xbar/controller.hpp"
 
@@ -111,33 +118,80 @@ TEST(Pipeline, StudyRejectsTinyArrays) {
   EXPECT_THROW(AttackStudy{cfg}, std::invalid_argument);
 }
 
-TEST(Pipeline, SweepHarnessesProduceOrderedSeries) {
-  StudyConfig cfg;
-  cfg.spacing = 10e-9;  // fast regime for the harness smoke test
-  const auto byLength = sweepPulseLength(cfg, {30e-9, 90e-9}, 300000);
-  ASSERT_EQ(byLength.size(), 2u);
-  ASSERT_TRUE(byLength[0].flipped && byLength[1].flipped);
-  EXPECT_GT(byLength[0].pulses, byLength[1].pulses);
-
-  const auto bySpacing = sweepSpacing(cfg, {10e-9, 30e-9}, {50e-9}, 2000000);
-  ASSERT_EQ(bySpacing.size(), 2u);
-  ASSERT_TRUE(bySpacing[0].flipped && bySpacing[1].flipped);
-  EXPECT_LT(bySpacing[0].pulses, bySpacing[1].pulses);
-
-  const auto byAmbient = sweepAmbient(cfg, {300.0, 348.0}, {50e-9}, 2000000);
-  ASSERT_EQ(byAmbient.size(), 2u);
-  ASSERT_TRUE(byAmbient[0].flipped && byAmbient[1].flipped);
-  EXPECT_GT(byAmbient[0].pulses, byAmbient[1].pulses);
-
-  const auto byPattern = sweepPatterns(cfg, HammerPulse{}, 500000);
-  ASSERT_EQ(byPattern.size(), 5u);
-  // Ring (8 aggressors) is the most effective pattern.
-  std::size_t ringPulses = 0, singlePulses = 0;
-  for (const auto& p : byPattern) {
-    ASSERT_TRUE(p.flipped) << patternName(p.pattern);
-    if (p.pattern == AttackPattern::Ring) ringPulses = p.pulses;
-    if (p.pattern == AttackPattern::SingleAggressor) singlePulses = p.pulses;
+std::size_t columnIndex(const ExperimentResult& result,
+                        const std::string& name) {
+  for (std::size_t i = 0; i < result.columns.size(); ++i) {
+    if (result.columns[i].name == name) return i;
   }
+  throw std::out_of_range("no column " + name);
+}
+
+/// Run a registered Fig. 3 experiment on the fast 10 nm regime with the
+/// given axis values; every point must flip within \p maxPulses.
+ExperimentResult runAt10nm(
+    const std::string& name,
+    std::map<std::string, std::vector<double>> axisOverrides,
+    std::size_t maxPulses) {
+  ExperimentSpec spec = makeExperiment(name);
+  spec.base.spacing = 10e-9;
+  RunOptions options;
+  options.axisOverrides = std::move(axisOverrides);
+  options.maxPulsesOverride = maxPulses;
+  ExperimentResult result = runExperiment(spec, options);
+  const std::size_t flipped = columnIndex(result, "flipped");
+  for (const auto& row : result.rows) {
+    EXPECT_DOUBLE_EQ(row[flipped].number, 1.0) << name;
+  }
+  return result;
+}
+
+/// Pulses-to-flip of every row, in grid order.
+std::vector<double> pulses(const ExperimentResult& result) {
+  const std::size_t column = columnIndex(result, "pulses");
+  std::vector<double> out;
+  for (const auto& row : result.rows) out.push_back(row[column].number);
+  return out;
+}
+
+/// The Fig. 3 shapes as metamorphic checks over the registry: pulses-to-flip
+/// falls with pulse width and ambient temperature and rises with spacing,
+/// and the 8-aggressor Ring beats a single aggressor.
+TEST(Pipeline, Fig3SeriesAreOrdered) {
+  const auto byLength = pulses(
+      runAt10nm("fig3a_pulse_length", {{"width", {30e-9, 90e-9}}}, 300'000));
+  ASSERT_EQ(byLength.size(), 2u);
+  EXPECT_GT(byLength[0], byLength[1]);
+
+  const auto bySpacing =
+      pulses(runAt10nm("fig3b_electrode_spacing",
+                       {{"spacing", {10e-9, 30e-9}}, {"width", {50e-9}}},
+                       2'000'000));
+  ASSERT_EQ(bySpacing.size(), 2u);
+  EXPECT_LT(bySpacing[0], bySpacing[1]);
+
+  const auto byAmbient =
+      pulses(runAt10nm("fig3c_ambient_temperature",
+                       {{"ambient", {300.0, 348.0}}, {"width", {50e-9}}},
+                       2'000'000));
+  ASSERT_EQ(byAmbient.size(), 2u);
+  EXPECT_GT(byAmbient[0], byAmbient[1]);
+
+  const ExperimentResult byPattern =
+      runAt10nm("fig3d_attack_patterns", {}, 500'000);
+  ASSERT_EQ(byPattern.rows.size(), allPatterns().size());
+  const auto patternPulses = pulses(byPattern);
+  double ringPulses = 0.0;
+  double singlePulses = 0.0;
+  for (std::size_t i = 0; i < byPattern.rows.size(); ++i) {
+    const std::string& pattern = byPattern.rows[i][0].text;
+    if (pattern == patternName(AttackPattern::Ring)) {
+      ringPulses = patternPulses[i];
+    }
+    if (pattern == patternName(AttackPattern::SingleAggressor)) {
+      singlePulses = patternPulses[i];
+    }
+  }
+  ASSERT_GT(ringPulses, 0.0);
   EXPECT_LT(ringPulses, singlePulses);
 }
 

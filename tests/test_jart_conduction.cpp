@@ -256,10 +256,14 @@ TEST(ConductionOracle, SchottkyCurrentMatchesReference) {
 
 TEST(Conduction, NonFiniteVoltageReportsNonConvergence) {
   // A NaN or infinite bias poisons the bracket itself, so neither the
-  // residual nor the step test can pass.
+  // residual nor the step test can pass. A NaN state or temperature keeps
+  // the bracket finite, so the bisection settles on an endpoint; the
+  // non-finite result must still report non-convergence.
   const Model m = defaultModel();
   EXPECT_FALSE(m.solveConduction(std::nan(""), 1e25, 300.0).converged);
   EXPECT_FALSE(m.solveConduction(HUGE_VAL, 1e25, 300.0).converged);
+  EXPECT_FALSE(m.solveConduction(0.5, std::nan(""), 300.0).converged);
+  EXPECT_FALSE(m.solveConduction(0.5, 1e26, std::nan("")).converged);
   EXPECT_FALSE(oracle::solveConduction(m.params(), std::nan(""), 1e25, 300.0).converged);
 }
 
