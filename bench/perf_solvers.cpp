@@ -343,46 +343,6 @@ void BM_SpMvSimdGalerkin(benchmark::State& state) {
 }
 BENCHMARK(BM_SpMvSimdGalerkin)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-/// GMG-preconditioned CG at 64^3 with the lexicographic vs the red-black
-/// smoother (arg: 0 = lex, 1 = red-black), frozen preconditioner as in
-/// BM_CgFvSteadyLargeGrid. Red-black multiplies by the cached inverse
-/// diagonal instead of dividing per row and sweeps each color in parallel
-/// when threads are available; cg_iterations shows the (near-identical)
-/// convergence, time/iteration shows the V-cycle constant.
-void BM_RedBlackVsLex(benchmark::State& state) {
-  const std::size_t m = 64;
-  const std::size_t n = m * m * m;
-  const auto matrix = nh::util::makeSteadyFvOperator3d(m, 2.0);
-  nh::util::Vector b(n, 1e-6);
-  nh::util::CgWorkspace workspace;
-  nh::util::CgOptions options;
-  options.relTol = 1e-8;
-  options.maxIter = 50000;
-  options.preconditioner = nh::util::CgPreconditioner::Multigrid;
-  options.gridNx = options.gridNy = options.gridNz = m;
-  options.multigridSmoother = state.range(0) == 0
-                                  ? nh::util::MultigridSmoother::Lexicographic
-                                  : nh::util::MultigridSmoother::RedBlack;
-  nh::util::Vector x(n, 0.0);
-  nh::util::solveConjugateGradient(matrix, b, x, options, &workspace);
-  options.reusePreconditioner = true;
-
-  std::size_t iterations = 0;
-  bool converged = true;
-  for (auto _ : state) {
-    x.assign(n, 0.0);
-    const auto result =
-        nh::util::solveConjugateGradient(matrix, b, x, options, &workspace);
-    iterations = result.iterations;
-    converged = converged && result.converged;
-    benchmark::DoNotOptimize(x);
-  }
-  state.counters["cg_iterations"] = static_cast<double>(iterations);
-  state.counters["converged"] = converged ? 1.0 : 0.0;
-  state.counters["rows"] = static_cast<double>(n);
-}
-BENCHMARK(BM_RedBlackVsLex)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 /// One level of the Galerkin chain A_c = R (A P) at 64^3 -> 32^3, fresh
 /// SpGEMM vs plan refill (arg: 0 = fresh, 1 = refill). The refill arm also
 /// carries the allocation-count assertion for the old multigrid.cpp

@@ -261,15 +261,6 @@ std::uint64_t hashStudyConfig(std::uint64_t h, const StudyConfig& c) {
       // DetectorConfig
       d.readVoltage, d.rLrsMax, d.rHrsMin};
   for (const double v : fields) h = fnv1a(h, nh::util::formatDouble(v));
-  // Later-added option fields are hashed only when they differ from their
-  // defaults: hashing them unconditionally would shift every digest recorded
-  // before the field existed (checkpoints, baseline files), while the
-  // conditional keeps old digests stable AND still separates any two configs
-  // operator== distinguishes.
-  if (f.multigridSmoother != nh::util::MultigridSmoother::Lexicographic) {
-    h = fnv1a(h, "multigridSmoother=" +
-                     std::to_string(static_cast<int>(f.multigridSmoother)));
-  }
   return h;
 }
 

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "fem/geometry.hpp"
 #include "util/log.hpp"
@@ -30,14 +31,21 @@ AttackStudy::AttackStudy(StudyConfig config) : config_(std::move(config)) {
     layout.spacing = config_.spacing;
     layout.voxelSize = config_.femVoxelSize;
     // extractAlpha chains the power sweep's CG solves (each point
-    // warm-starts from the previous field) and femOptions picks the
-    // preconditioner -- on fine-voxel grids the solves run GMG-preconditioned
-    // CG.
+    // warm-starts from the previous point's rise over ambient scaled by the
+    // power ratio, so only the first point iterates in earnest) and
+    // femOptions picks the preconditioner -- on fine-voxel grids the solves
+    // run GMG-preconditioned CG.
     const auto extraction =
         fem::extractCentreAlpha(layout, config_.ambientK, config_.femOptions);
     alphas_ = xbar::AlphaTable::fromExtraction(extraction);
+    std::string iterations;
+    for (const std::size_t n : extraction.cgIterations) {
+      if (!iterations.empty()) iterations += '/';
+      iterations += std::to_string(n);
+    }
     nh::util::logInfo("AttackStudy: FEM alphas extracted, Rth=", extraction.rTh,
-                      " K/W, nearest alpha=", alphas_.at(0, 1));
+                      " K/W, nearest alpha=", alphas_.at(0, 1),
+                      ", CG iterations per power point=", iterations);
   } else {
     alphas_ = xbar::AlphaTable::analytic(config_.spacing);
   }

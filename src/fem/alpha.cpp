@@ -1,5 +1,7 @@
 #include "fem/alpha.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace nh::fem {
@@ -41,6 +43,24 @@ void fitAlphas(AlphaResult& result) {
   }
 }
 
+/// The power list must support the Eq. 3 regression before any solve runs:
+/// finite, non-negative values (solveThermal rejects negative power), at
+/// least two points, and at least two distinct values.
+void validatePowers(const std::vector<double>& powers) {
+  if (powers.size() < 2) {
+    throw std::invalid_argument("extractAlpha: need >= 2 power points");
+  }
+  for (const double p : powers) {
+    if (!std::isfinite(p) || p < 0.0) {
+      throw std::invalid_argument("extractAlpha: powers must be finite and >= 0");
+    }
+  }
+  if (std::all_of(powers.begin(), powers.end(),
+                  [&](double p) { return p == powers.front(); })) {
+    throw std::invalid_argument("extractAlpha: need at least two distinct powers");
+  }
+}
+
 }  // namespace
 
 nh::util::Matrix AlphaResult::predictTemperatures(double p) const {
@@ -61,9 +81,7 @@ AlphaResult extractAlpha(const CrossbarModel3D& model,
   if (selectedRow >= layout.rows || selectedCol >= layout.cols) {
     throw std::out_of_range("extractAlpha: selected cell out of range");
   }
-  if (powers.size() < 2) {
-    throw std::invalid_argument("extractAlpha: need >= 2 power points");
-  }
+  validatePowers(powers);
 
   AlphaResult result;
   result.selectedRow = selectedRow;
@@ -75,7 +93,8 @@ AlphaResult extractAlpha(const CrossbarModel3D& model,
   // One solver for the whole power sweep: the FV assembly is symbolic-phased
   // once and every later power point only refills values.
   ThermalSolver solver;
-  for (const double p : powers) {
+  for (std::size_t i = 0; i < powers.size(); ++i) {
+    const double p = powers[i];
     ThermalScenario scenario;
     scenario.model = &model;
     scenario.materials = materials;
@@ -88,8 +107,19 @@ AlphaResult extractAlpha(const CrossbarModel3D& model,
     if (!sol.converged()) {
       throw std::runtime_error("extractAlpha: thermal solve did not converge");
     }
-    guess = sol.temperature;  // warm start for the next power point
+    result.cgIterations.push_back(sol.stats.iterations);
     result.temperatureMatrices.push_back(sol.cellTemperature);
+
+    // Warm start for the next point. The rise over ambient is linear in the
+    // power, so scaling this point's rise predicts the next field to within
+    // this point's CG tolerance. The next point still runs CG to relTol on
+    // its own system; a zero power has no rise to scale and hands over its
+    // field as is.
+    guess = sol.temperature;
+    if (i + 1 < powers.size() && p != 0.0) {
+      const double scale = powers[i + 1] / p;
+      for (double& t : guess) t = ambientK + scale * (t - ambientK);
+    }
   }
 
   fitAlphas(result);
@@ -153,6 +183,7 @@ AlphaResult extractAlphaCoupled(const CrossbarModel3D& model,
       throw std::runtime_error("extractAlphaCoupled: solve did not converge");
     }
     result.powers.push_back(sol.cellPower(selectedRow, selectedCol));
+    result.cgIterations.push_back(sol.thermalStats.iterations);
     result.temperatureMatrices.push_back(sol.cellTemperature);
     previous = std::move(sol);
     havePrevious = true;

@@ -8,7 +8,11 @@
 ///   Tij(P)  = T0 + Rth * P * alpha_ij (every neighbour -> alpha_ij)
 /// Because the heat equation is linear, R^2 of these fits is ~1; the fits
 /// are still performed (and reported) to mirror the paper's methodology and
-/// to catch discretisation artefacts.
+/// to catch discretisation artefacts. The same linearity drives the sweep:
+/// each power point warm-starts CG from the previous point's rise over
+/// ambient scaled by the power ratio, which already solves the next system
+/// to within the CG tolerance, so every point after the first needs at most
+/// a couple of iterations (AlphaResult::cgIterations).
 
 #include <vector>
 
@@ -33,13 +37,17 @@ struct AlphaResult {
   /// The swept powers [W] and the cell-temperature matrix per power point.
   std::vector<double> powers;
   std::vector<nh::util::Matrix> temperatureMatrices;
+  /// CG iterations of each power point's heat solve, in sweep order.
+  std::vector<std::size_t> cgIterations;
 
   /// Temperature matrix predicted by the linear model at power \p p [W].
   nh::util::Matrix predictTemperatures(double p) const;
 };
 
 /// Extract Rth and the alpha matrix by sweeping the selected cell's
-/// dissipated power (prescribed-power mode; heat equation only).
+/// dissipated power (prescribed-power mode; heat equation only). Throws
+/// std::invalid_argument before any solve unless \p powers holds at least
+/// two finite, non-negative values of which at least two differ.
 AlphaResult extractAlpha(const CrossbarModel3D& model,
                          const MaterialTable& materials, std::size_t selectedRow,
                          std::size_t selectedCol, const std::vector<double>& powers,

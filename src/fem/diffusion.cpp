@@ -101,7 +101,6 @@ nh::util::CgOptions toCgOptions(const DiffusionOptions& options,
   cg.gridNx = gridNx;
   cg.gridNy = gridNy;
   cg.gridNz = gridNz;
-  cg.multigridSmoother = options.multigridSmoother;
   const std::size_t voxels = gridNx * gridNy * gridNz;
   if (options.multigridMinVoxels > 0 && voxels >= options.multigridMinVoxels &&
       options.preconditioner ==

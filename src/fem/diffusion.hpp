@@ -59,12 +59,6 @@ struct DiffusionOptions {
   /// iteration count becomes the scaling wall. 0 disables the upgrade; an
   /// explicit preconditioner other than IC(0) is never overridden.
   std::size_t multigridMinVoxels = 32768;
-  /// Smoother for the multigrid V-cycle (whether requested explicitly or by
-  /// auto-upgrade). The Lexicographic default keeps the recorded experiment
-  /// baselines bit-identical; RedBlack (cached inverse diagonal, per-color
-  /// parallel sweeps) is the opt-in fast path. Ignored off the MG path.
-  nh::util::MultigridSmoother multigridSmoother =
-      nh::util::MultigridSmoother::Lexicographic;
 
   /// Exact comparison (study-dedup cache key component).
   bool operator==(const DiffusionOptions&) const = default;

@@ -567,7 +567,6 @@ IterativeResult solveConjugateGradient(const SparseMatrix& a, const Vector& b,
       mgOptions.nx = options.gridNx;
       mgOptions.ny = options.gridNy;
       mgOptions.nz = options.gridNz;
-      mgOptions.smoother = options.multigridSmoother;
       useMg = ws.mg_->compute(a, mgOptions);
       ws.mgFailed_ = !useMg;
     }

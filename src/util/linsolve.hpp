@@ -250,23 +250,6 @@ class IncompleteCholesky {
   bool valid_ = false;
 };
 
-/// Smoother used inside the geometric-multigrid V-cycle.
-enum class MultigridSmoother {
-  /// Serial forward/backward Gauss-Seidel in row order. The default: the 18
-  /// tracked experiment baselines were recorded with it, and every sweep is
-  /// bit-identical to the seed implementation.
-  Lexicographic,
-  /// Multicolor ("red-black") Gauss-Seidel with a cached inverse diagonal:
-  /// rows are greedily colored once per hierarchy level at compute() time so
-  /// that no two coupled rows share a color (2 colors on the 7-point fine
-  /// stencil, up to ~8 on the 27-point Galerkin coarse operators); rows
-  /// within a color are independent, so each color sweeps in parallel on the
-  /// shared thread pool, deterministically for any thread count. Changes
-  /// smoothing order, hence iterate values -- opt-in, not bit-compatible
-  /// with the recorded baselines.
-  RedBlack,
-};
-
 /// Preconditioner choice for solveConjugateGradient.
 enum class CgPreconditioner {
   Jacobi,              ///< Diagonal scaling; always applicable.
@@ -293,8 +276,6 @@ struct CgOptions {
   /// preconditioner (0 = unknown; their product must equal the matrix size
   /// or Multigrid falls back to IC(0)).
   std::size_t gridNx = 0, gridNy = 0, gridNz = 0;
-  /// V-cycle smoother when preconditioner == Multigrid; ignored otherwise.
-  MultigridSmoother multigridSmoother = MultigridSmoother::Lexicographic;
 };
 
 /// Scratch vectors and preconditioner state for solveConjugateGradient.

@@ -44,11 +44,6 @@ class GeometricMultigrid {
     /// Doubles as the applicability floor: systems no larger than this are
     /// rejected by compute() -- IC(0) already handles them well.
     std::size_t maxCoarseRows = 64;
-    /// Gauss-Seidel flavour (see MultigridSmoother in linsolve.hpp). The
-    /// default Lexicographic keeps the recorded experiment baselines
-    /// bit-identical; RedBlack trades smoothing order for per-color
-    /// parallelism and a division-free inner loop.
-    MultigridSmoother smoother = MultigridSmoother::Lexicographic;
   };
 
   /// Build (or rebuild) the hierarchy for \p a. The transfer operators are
@@ -88,27 +83,11 @@ class GeometricMultigrid {
     mutable Vector b, x, scratch;        ///< V-cycle storage for this level.
   };
 
-  /// Per-smoothed-level data for the RedBlack smoother, rebuilt on every
-  /// compute(): a greedy multicoloring of the operator's adjacency (valid
-  /// for the structurally symmetric SPD operators GMG accepts) plus the
-  /// cached inverse diagonal the division-free sweeps multiply by.
-  struct SmootherData {
-    Vector invDiag;
-    /// Rows of color c are colorOrder[colorPtr[c] .. colorPtr[c + 1]),
-    /// ascending within each color.
-    std::vector<std::size_t> colorPtr;
-    std::vector<std::size_t> colorOrder;
-  };
-
   void cycle(std::size_t l, const Vector& b, Vector& x) const;
 
   const SparseMatrix* fine_ = nullptr;
   Options options_;
   std::vector<Level> levels_;
-  /// smoothers_[l] colors the level-l operator (0 = fine). Sized
-  /// levels_.size() when options_.smoother == RedBlack, empty otherwise
-  /// (the coarsest operator is LU-solved, never smoothed).
-  std::vector<SmootherData> smoothers_;
   Matrix coarseDense_;
   LuFactorization coarseLu_;
   mutable Vector fineScratch_;
@@ -118,7 +97,8 @@ class GeometricMultigrid {
 /// Cell-centred trilinear prolongation from an (ncx, ncy, ncz) coarse grid
 /// to an (nx, ny, nz) fine grid, where nc* = (n* + 1) / 2. Each fine cell
 /// interpolates from up to 8 coarse cells; every row sums to 1 (exposed for
-/// the unit tests).
+/// the unit tests). Written directly as CSR: rows in fine-index order,
+/// columns strictly ascending.
 SparseMatrix buildTrilinearProlongation(std::size_t nx, std::size_t ny,
                                         std::size_t nz, std::size_t ncx,
                                         std::size_t ncy, std::size_t ncz);

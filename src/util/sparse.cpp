@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "util/spmv.hpp"
 #include "util/threadpool.hpp"
@@ -16,6 +17,13 @@ namespace {
 /// Row range below which the SpMV stays on the calling thread: the fork/join
 /// overhead of the shared pool only pays off for FEM-sized operators.
 constexpr std::size_t kParallelSpmvMinRows = 16384;
+
+/// Row count from which the SpGEMM row loops split over the shared pool.
+/// Galerkin rows carry dozens to hundreds of flops each, so the break-even
+/// sits far below the SpMV's.
+constexpr std::size_t kParallelSpGemmMinRows = 2048;
+
+constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
 
 std::uint64_t nextPatternId() {
   static std::atomic<std::uint64_t> counter{0};
@@ -80,6 +88,34 @@ SparseMatrix SparseMatrix::fromTriplets(const TripletBuilder& builder) {
   return m;
 }
 
+SparseMatrix SparseMatrix::fromCsr(std::size_t rows, std::size_t cols,
+                                   std::vector<std::size_t> rowPtr,
+                                   std::vector<std::size_t> colIdx,
+                                   std::vector<double> values) {
+  if (rowPtr.size() != rows + 1 || rowPtr.front() != 0 ||
+      rowPtr.back() != colIdx.size() || values.size() != colIdx.size()) {
+    throw std::invalid_argument("SparseMatrix::fromCsr: inconsistent array sizes");
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (rowPtr[r] > rowPtr[r + 1] || rowPtr[r + 1] > colIdx.size()) {
+      throw std::invalid_argument("SparseMatrix::fromCsr: row offsets not monotone");
+    }
+    for (std::size_t k = rowPtr[r]; k < rowPtr[r + 1]; ++k) {
+      if (colIdx[k] >= cols || (k > rowPtr[r] && colIdx[k] <= colIdx[k - 1])) {
+        throw std::invalid_argument(
+            "SparseMatrix::fromCsr: columns out of range or not strictly ascending");
+      }
+    }
+  }
+  SparseMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.rowPtr_ = std::move(rowPtr);
+  m.colIdx_ = std::move(colIdx);
+  m.values_ = std::move(values);
+  return m;
+}
+
 Vector SparseMatrix::multiply(const Vector& x) const {
   Vector y(rows_, 0.0);
   multiplyInto(x, y);
@@ -138,45 +174,70 @@ void multiplySparseInto(const SparseMatrix& a, const SparseMatrix& b,
   if (a.cols() != b.rows()) {
     throw std::invalid_argument("multiplySparse: inner dimension mismatch");
   }
-  out.rows_ = a.rows();
-  out.cols_ = b.cols();
+  const std::size_t rows = a.rows();
+  const std::size_t cols = b.cols();
+  out.rows_ = rows;
+  out.cols_ = cols;
   out.patternId_ = 0;
-  out.rowPtr_.assign(a.rows() + 1, 0);
-  out.colIdx_.clear();
-  out.values_.clear();
-  // The Galerkin products this feeds roughly preserve nnz; reserving the
-  // larger operand's count avoids most growth reallocations.
-  out.colIdx_.reserve(std::max(a.nonZeros(), b.nonZeros()));
-  out.values_.reserve(std::max(a.nonZeros(), b.nonZeros()));
+  out.rowPtr_.assign(rows + 1, 0);
 
-  // Gustavson: per output row, scatter-accumulate into a dense workspace
-  // keyed by column; a row-stamp marker detects first touches in O(1).
-  constexpr std::size_t kNever = static_cast<std::size_t>(-1);
-  std::vector<double> acc(b.cols(), 0.0);
-  std::vector<std::size_t> lastRow(b.cols(), kNever);
-  std::vector<std::size_t> touched;
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    touched.clear();
-    for (std::size_t ka = a.rowPtr_[r]; ka < a.rowPtr_[r + 1]; ++ka) {
-      const std::size_t mid = a.colIdx_[ka];
-      const double av = a.values_[ka];
-      for (std::size_t kb = b.rowPtr_[mid]; kb < b.rowPtr_[mid + 1]; ++kb) {
-        const std::size_t col = b.colIdx_[kb];
-        if (lastRow[col] != r) {
-          lastRow[col] = r;
-          acc[col] = 0.0;
-          touched.push_back(col);
+  // Gustavson, two passes over the same row blocks. Each block owns a dense
+  // accumulator keyed by column and a row-stamp marker that detects first
+  // touches in O(1); a block's rows are distinct, so the stamps never clash.
+  // Symbolic pass: count each row's distinct columns.
+  forBlocks(rows, kParallelSpGemmMinRows, [&](std::size_t begin, std::size_t end) {
+    std::vector<std::size_t> lastRow(cols, kNoRow);
+    for (std::size_t r = begin; r < end; ++r) {
+      std::size_t count = 0;
+      for (std::size_t ka = a.rowPtr_[r]; ka < a.rowPtr_[r + 1]; ++ka) {
+        const std::size_t mid = a.colIdx_[ka];
+        for (std::size_t kb = b.rowPtr_[mid]; kb < b.rowPtr_[mid + 1]; ++kb) {
+          const std::size_t col = b.colIdx_[kb];
+          if (lastRow[col] != r) {
+            lastRow[col] = r;
+            ++count;
+          }
         }
-        acc[col] += av * b.values_[kb];
+      }
+      out.rowPtr_[r + 1] = count;
+    }
+  });
+  for (std::size_t r = 0; r < rows; ++r) out.rowPtr_[r + 1] += out.rowPtr_[r];
+  out.colIdx_.resize(out.rowPtr_[rows]);
+  out.values_.resize(out.rowPtr_[rows]);
+
+  // Numeric pass: accumulate each row in (a entry, b entry) order and write
+  // it sorted into its slice. A row's sums depend on that order alone, never
+  // on the block split, so the product is bit-identical for every thread
+  // count.
+  forBlocks(rows, kParallelSpGemmMinRows, [&](std::size_t begin, std::size_t end) {
+    std::vector<double> acc(cols, 0.0);
+    std::vector<std::size_t> lastRow(cols, kNoRow);
+    std::vector<std::size_t> touched;
+    for (std::size_t r = begin; r < end; ++r) {
+      touched.clear();
+      for (std::size_t ka = a.rowPtr_[r]; ka < a.rowPtr_[r + 1]; ++ka) {
+        const std::size_t mid = a.colIdx_[ka];
+        const double av = a.values_[ka];
+        for (std::size_t kb = b.rowPtr_[mid]; kb < b.rowPtr_[mid + 1]; ++kb) {
+          const std::size_t col = b.colIdx_[kb];
+          if (lastRow[col] != r) {
+            lastRow[col] = r;
+            acc[col] = 0.0;
+            touched.push_back(col);
+          }
+          acc[col] += av * b.values_[kb];
+        }
+      }
+      std::sort(touched.begin(), touched.end());
+      std::size_t slot = out.rowPtr_[r];
+      for (const std::size_t col : touched) {
+        out.colIdx_[slot] = col;
+        out.values_[slot] = acc[col];
+        ++slot;
       }
     }
-    std::sort(touched.begin(), touched.end());
-    for (const std::size_t col : touched) {
-      out.colIdx_.push_back(col);
-      out.values_.push_back(acc[col]);
-    }
-    out.rowPtr_[r + 1] = out.colIdx_.size();
-  }
+  });
 }
 
 SparseMatrix multiplySparse(const SparseMatrix& a, const SparseMatrix& b) {
@@ -206,7 +267,6 @@ void SpGemmPlan::multiply(const SparseMatrix& a, const SparseMatrix& b,
     bCols_ = b.cols_;
     outRowPtr_ = out.rowPtr_;
     outColIdx_ = out.colIdx_;
-    acc_.assign(b.cols(), 0.0);
     id_ = nextPatternId();
     out.patternId_ = id_;
     ++symbolicCount_;
@@ -223,26 +283,29 @@ void SpGemmPlan::multiply(const SparseMatrix& a, const SparseMatrix& b,
     out.values_.resize(outColIdx_.size());
     out.patternId_ = id_;
   }
-  // Per row: zero the accumulator over exactly the product row's columns,
-  // replay the Gustavson accumulation in its original order (bit-identical
-  // sums), and gather back through the known structure. No sort, no
-  // first-touch bookkeeping, no allocation.
+  // Per row: zero the block's accumulator over exactly the product row's
+  // columns, replay the Gustavson accumulation in its original order
+  // (bit-identical sums), and gather back through the known structure. No
+  // symbolic pass, no sort; the only allocation is one accumulator per block.
   const std::size_t rows = outRowPtr_.size() - 1;
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t k = outRowPtr_[r]; k < outRowPtr_[r + 1]; ++k) {
-      acc_[outColIdx_[k]] = 0.0;
-    }
-    for (std::size_t ka = aRowPtr_[r]; ka < aRowPtr_[r + 1]; ++ka) {
-      const std::size_t mid = aColIdx_[ka];
-      const double av = a.values_[ka];
-      for (std::size_t kb = bRowPtr_[mid]; kb < bRowPtr_[mid + 1]; ++kb) {
-        acc_[bColIdx_[kb]] += av * b.values_[kb];
+  forBlocks(rows, kParallelSpGemmMinRows, [&](std::size_t begin, std::size_t end) {
+    std::vector<double> acc(bCols_);
+    for (std::size_t r = begin; r < end; ++r) {
+      for (std::size_t k = outRowPtr_[r]; k < outRowPtr_[r + 1]; ++k) {
+        acc[outColIdx_[k]] = 0.0;
+      }
+      for (std::size_t ka = aRowPtr_[r]; ka < aRowPtr_[r + 1]; ++ka) {
+        const std::size_t mid = aColIdx_[ka];
+        const double av = a.values_[ka];
+        for (std::size_t kb = bRowPtr_[mid]; kb < bRowPtr_[mid + 1]; ++kb) {
+          acc[bColIdx_[kb]] += av * b.values_[kb];
+        }
+      }
+      for (std::size_t k = outRowPtr_[r]; k < outRowPtr_[r + 1]; ++k) {
+        out.values_[k] = acc[outColIdx_[k]];
       }
     }
-    for (std::size_t k = outRowPtr_[r]; k < outRowPtr_[r + 1]; ++k) {
-      out.values_[k] = acc_[outColIdx_[k]];
-    }
-  }
+  });
   lastWasRefill_ = true;
 }
 

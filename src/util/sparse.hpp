@@ -56,6 +56,15 @@ class SparseMatrix {
   SparseMatrix() = default;
   /// Build from a triplet accumulator (duplicates summed, rows sorted).
   static SparseMatrix fromTriplets(const TripletBuilder& builder);
+  /// Adopt ready-made CSR arrays. Throws std::invalid_argument unless
+  /// \p rowPtr has rows + 1 non-decreasing offsets from 0 to nnz, \p colIdx
+  /// and \p values both hold nnz entries, and every row's columns are below
+  /// \p cols and strictly ascending (sorted, no duplicates) -- the
+  /// invariants every kernel here relies on.
+  static SparseMatrix fromCsr(std::size_t rows, std::size_t cols,
+                              std::vector<std::size_t> rowPtr,
+                              std::vector<std::size_t> colIdx,
+                              std::vector<double> values);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -154,11 +163,18 @@ class SparsityPattern {
 /// Sparse-sparse product C = A * B (Gustavson row merge with a dense
 /// accumulator; output rows column-sorted). The workhorse of the multigrid
 /// Galerkin coarse-operator build A_c = R (A P).
+///
+/// Large products run in two passes over row blocks on the shared pool
+/// (util::forBlocks): one counts each row's distinct columns, and after a
+/// prefix sum the other fills the rows, each block with its own
+/// accumulator. Every row keeps the serial accumulation order, so the
+/// result is bit-identical for any thread count, and the output arrays are
+/// sized exactly.
 SparseMatrix multiplySparse(const SparseMatrix& a, const SparseMatrix& b);
 
-/// As multiplySparse, but writing into \p out: the CSR arrays are cleared
-/// and refilled, so a caller that keeps \p out alive across calls reuses its
-/// capacity instead of allocating a fresh product each time.
+/// As multiplySparse, but writing into \p out: the CSR arrays are resized
+/// to the product, so a caller that keeps \p out alive across calls reuses
+/// its capacity instead of allocating a fresh product each time.
 void multiplySparseInto(const SparseMatrix& a, const SparseMatrix& b,
                         SparseMatrix& out);
 
@@ -167,8 +183,9 @@ void multiplySparseInto(const SparseMatrix& a, const SparseMatrix& b,
 /// operands changed structure) runs the full Gustavson SpGEMM and captures
 /// the operand and product structures; every later call with structurally
 /// identical operands refills the product values in O(flops) -- no symbolic
-/// pass, no sort, no allocation -- and is bit-identical to the fresh product
-/// (the refill replays the exact accumulation order).
+/// pass, no sort, on the same row blocks as multiplySparse -- and is
+/// bit-identical to the fresh product (the refill replays the exact
+/// accumulation order).
 ///
 /// This is what lets the multigrid Galerkin chain A_c = R (A P) rebuild in
 /// O(nnz) when only the fine operator's *values* changed (frozen-hierarchy
@@ -196,8 +213,7 @@ class SpGemmPlan {
   std::vector<std::size_t> aRowPtr_, aColIdx_;
   std::vector<std::size_t> bRowPtr_, bColIdx_;
   std::vector<std::size_t> outRowPtr_, outColIdx_;
-  std::size_t bCols_ = 0;    ///< Column count vectors alone can't pin down.
-  std::vector<double> acc_;  ///< Dense per-row accumulator workspace.
+  std::size_t bCols_ = 0;  ///< Column count vectors alone can't pin down.
   std::uint64_t id_ = 0;     ///< Pattern identity stamped into products.
   std::size_t symbolicCount_ = 0;
   bool lastWasRefill_ = false;

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <stdexcept>
@@ -22,8 +21,6 @@
 #include "core/study.hpp"
 #include "util/cancellation.hpp"
 #include "util/faultinject.hpp"
-#include "util/fvstencil.hpp"
-#include "util/multigrid.hpp"
 #include "util/threadpool.hpp"
 
 namespace nh {
@@ -277,37 +274,6 @@ TEST(FaultSpecWarnings, StrayCommasAndZeroCountsAreHandled) {
   EXPECT_NE(err.find("bad call count"), std::string::npos) << err;
   EXPECT_TRUE(util::faultinject::shouldFire("site.ok"));
   util::faultinject::clearAll();
-}
-
-// ---- Red-black smoother: per-color parallel sweeps under TSan ------------
-
-// A 32^3 grid has 32768 rows; the 7-point FV operator two-colors, so each
-// color holds ~16384 rows -- past the per-color parallelFor threshold, which
-// puts the multicolor sweep on the shared thread pool. Repeated V-cycles
-// must be deterministic (bit-identical) and race-free: within one color no
-// two rows are neighbors, so concurrent updates never read each other.
-TEST(RedBlackSmootherStress, ParallelColorSweepsAreDeterministic) {
-  const std::size_t m = 32;
-  const std::size_t n = m * m * m;
-  const util::SparseMatrix a = util::makeSteadyFvOperator3d(m, 2.0);
-  util::GeometricMultigrid::Options options;
-  options.nx = options.ny = options.nz = m;
-  options.smoother = util::MultigridSmoother::RedBlack;
-  util::GeometricMultigrid mg;
-  ASSERT_TRUE(mg.compute(a, options));
-
-  util::Vector r(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    r[i] = 1e-6 * static_cast<double>((i * 2654435761u) % 1000);
-  }
-  util::Vector first;
-  mg.apply(r, first);
-  for (const double v : first) ASSERT_TRUE(std::isfinite(v));
-  for (int iter = 0; iter < 8; ++iter) {
-    util::Vector z;
-    mg.apply(r, z);
-    ASSERT_EQ(z, first) << "V-cycle " << iter << " diverged from first run";
-  }
 }
 
 }  // namespace

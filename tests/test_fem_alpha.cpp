@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "fem/thermal.hpp"
 
 namespace nh::fem {
@@ -132,6 +135,59 @@ TEST(ExtractAlpha, Validation) {
       std::out_of_range);
   EXPECT_THROW(extractAlpha(model, MaterialTable::defaults(), 1, 1, {1e-4}, 300.0),
                std::invalid_argument);
+}
+
+TEST(ExtractAlpha, RejectsBadPowersBeforeAnySolve) {
+  // Each list would otherwise fail late: a repeated power only inside the
+  // regression after every solve, a negative one inside the first solve.
+  // maxIterations = 1 makes any solve that did run throw runtime_error
+  // instead, so invalid_argument proves the check came first.
+  const auto model = smallModel();
+  DiffusionOptions oneIteration;
+  oneIteration.maxIterations = 1;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> bad = {
+      {1e-4, 1e-4, 1e-4}, {0.0, 0.0},  {-1e-4, 1e-4},
+      {1e-4, nan},        {inf, 1e-4}, {1e-4, 2e-4, -inf}};
+  for (const auto& powers : bad) {
+    EXPECT_THROW(extractAlpha(model, MaterialTable::defaults(), 1, 1, powers,
+                              300.0, oneIteration),
+                 std::invalid_argument)
+        << powers.front() << ", " << powers.back();
+  }
+}
+
+TEST(ExtractAlpha, ZeroPowerPointIsAccepted) {
+  // A zero point has no rise to scale into the next guess: the sweep falls
+  // back to the plain warm start and the fit still sees T0 at P = 0.
+  const auto model = smallModel();
+  const auto result = extractAlpha(model, MaterialTable::defaults(), 1, 1,
+                                   {0.0, 0.05e-3, 0.1e-3}, 300.0);
+  ASSERT_EQ(result.cgIterations.size(), 3u);
+  EXPECT_NEAR(result.temperatureMatrices[0](1, 1), 300.0, 1e-6);
+  EXPECT_GT(result.rTh, 1e5);
+  EXPECT_GT(result.rThRSquared, 0.9999);
+}
+
+TEST(ExtractAlpha, SuperpositionPredictorLeavesLaterPointsNearlyFree) {
+  // The first point solves from scratch; every later point starts from the
+  // previous rise scaled by the power ratio, which already meets the CG
+  // tolerance up to a couple of iterations. Both preconditioners the FEM
+  // path uses: IC(0) on this grid, and GMG when forced.
+  const auto model = smallModel();
+  DiffusionOptions multigrid;
+  multigrid.multigridMinVoxels = 1024;
+  for (const DiffusionOptions& options : {DiffusionOptions{}, multigrid}) {
+    const auto result =
+        extractAlpha(model, MaterialTable::defaults(), 1, 1,
+                     {0.05e-3, 0.10e-3, 0.15e-3}, 300.0, options);
+    ASSERT_EQ(result.cgIterations.size(), 3u);
+    EXPECT_GT(result.cgIterations[0], 2u);
+    EXPECT_LE(result.cgIterations[1], 2u);
+    EXPECT_LE(result.cgIterations[2], 2u);
+    EXPECT_GT(result.rThRSquared, 0.9999);
+  }
 }
 
 TEST(SolveCoupled, SelectedLrsCellDominatesHeating) {

@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "fem/geometry.hpp"
 #include "fem/thermal.hpp"
@@ -195,6 +199,73 @@ TEST(GeometricMultigrid, ProlongationRowsSumToOne) {
   }
 }
 
+/// The triplet-built trilinear prolongation the direct-CSR builder
+/// replaced: per fine cell, the 1-D cell-centred weights along each axis
+/// (fine centre i + 0.5 against coarse centres 2I + 1, clamped at the
+/// boundaries), stamped as a tensor product and merged by fromTriplets.
+SparseMatrix tripletProlongation(std::size_t nx, std::size_t ny, std::size_t nz,
+                                 std::size_t ncx, std::size_t ncy,
+                                 std::size_t ncz) {
+  struct Line {
+    std::vector<std::size_t> idx;
+    std::vector<double> w;
+  };
+  const auto line = [](std::size_t i, std::size_t nc) {
+    const double t = (static_cast<double>(i) - 0.5) / 2.0;
+    const double fl = std::floor(t);
+    const long last = static_cast<long>(nc) - 1;
+    const long left = std::clamp(static_cast<long>(fl), 0L, last);
+    const long right = std::clamp(static_cast<long>(fl) + 1, 0L, last);
+    if (left == right) return Line{{static_cast<std::size_t>(left)}, {1.0}};
+    return Line{{static_cast<std::size_t>(left), static_cast<std::size_t>(right)},
+                {1.0 - (t - fl), t - fl}};
+  };
+  nh::util::TripletBuilder builder(nx * ny * nz, ncx * ncy * ncz);
+  for (std::size_t k = 0; k < nz; ++k) {
+    const Line wz = line(k, ncz);
+    for (std::size_t j = 0; j < ny; ++j) {
+      const Line wy = line(j, ncy);
+      for (std::size_t i = 0; i < nx; ++i) {
+        const Line wx = line(i, ncx);
+        for (std::size_t a = 0; a < wz.idx.size(); ++a) {
+          for (std::size_t b = 0; b < wy.idx.size(); ++b) {
+            for (std::size_t c = 0; c < wx.idx.size(); ++c) {
+              builder.add((k * ny + j) * nx + i,
+                          (wz.idx[a] * ncy + wy.idx[b]) * ncx + wx.idx[c],
+                          wz.w[a] * wy.w[b] * wx.w[c]);
+            }
+          }
+        }
+      }
+    }
+  }
+  return SparseMatrix::fromTriplets(builder);
+}
+
+TEST(GeometricMultigrid, DirectCsrProlongationMatchesTripletOracle) {
+  // Even, odd, mixed and 1-wide dimensions (a 1-wide axis clamps every
+  // cell to one weight-1 entry).
+  for (const auto& [nx, ny, nz] :
+       {std::tuple<std::size_t, std::size_t, std::size_t>{8, 8, 8},
+        {7, 5, 9},
+        {6, 3, 4},
+        {1, 6, 5},
+        {5, 1, 1},
+        {1, 1, 1},
+        {86, 86, 36}}) {
+    SCOPED_TRACE(std::to_string(nx) + "x" + std::to_string(ny) + "x" +
+                 std::to_string(nz));
+    const std::size_t ncx = (nx + 1) / 2, ncy = (ny + 1) / 2, ncz = (nz + 1) / 2;
+    const auto direct = nh::util::buildTrilinearProlongation(nx, ny, nz, ncx, ncy, ncz);
+    const auto oracle = tripletProlongation(nx, ny, nz, ncx, ncy, ncz);
+    EXPECT_EQ(direct.rows(), oracle.rows());
+    EXPECT_EQ(direct.cols(), oracle.cols());
+    EXPECT_EQ(direct.rowPtr(), oracle.rowPtr());
+    EXPECT_EQ(direct.colIdx(), oracle.colIdx());
+    EXPECT_EQ(direct.values(), oracle.values());  // bit-identical
+  }
+}
+
 TEST(GeometricMultigrid, AgreesWithIc0AndJacobiWithinTolerance) {
   const std::size_t m = 12;
   const std::size_t n = m * m * m;
@@ -282,49 +353,6 @@ TEST(GeometricMultigrid, FallsBackWithoutGridDimensions) {
   for (std::size_t i = 0; i < a.rows(); ++i) EXPECT_NEAR(ax[i], b[i], 1e-12);
 }
 
-TEST(GeometricMultigrid, RedBlackMatchesLexicographicConvergence) {
-  // The opt-in red-black smoother changes smoothing order, which costs a
-  // little smoothing power: the GMG-CG solve must converge in nearly the
-  // same iteration count (measured: 13 vs 11 at relTol 1e-10 on 16^3, so
-  // the bound is +-2) and to the same solution within the CG tolerance.
-  const std::size_t m = 16;
-  const std::size_t n = m * m * m;
-  const SparseMatrix a = steadyFvOperator(m, 2.0);
-  Vector b(n);
-  Rng rng(29);
-  for (auto& v : b) v = rng.uniform(0.0, 1e-6);
-
-  const auto solveWith = [&](nh::util::MultigridSmoother smoother,
-                             std::size_t* iters) {
-    CgOptions options;
-    options.relTol = 1e-10;
-    options.preconditioner = CgPreconditioner::Multigrid;
-    options.gridNx = options.gridNy = options.gridNz = m;
-    options.multigridSmoother = smoother;
-    Vector x(n, 0.0);
-    CgWorkspace ws;
-    const auto stats = nh::util::solveConjugateGradient(a, b, x, options, &ws);
-    EXPECT_TRUE(stats.converged);
-    // The MG rung must actually be in use, not a silent fallback.
-    EXPECT_TRUE(ws.multigrid() != nullptr && ws.multigrid()->valid());
-    *iters = stats.iterations;
-    return x;
-  };
-
-  std::size_t itersLex = 0, itersRb = 0;
-  const Vector xLex =
-      solveWith(nh::util::MultigridSmoother::Lexicographic, &itersLex);
-  const Vector xRb = solveWith(nh::util::MultigridSmoother::RedBlack, &itersRb);
-  const double diff = itersLex > itersRb
-                          ? static_cast<double>(itersLex - itersRb)
-                          : static_cast<double>(itersRb - itersLex);
-  EXPECT_LE(diff, 2.0) << "lex " << itersLex << " vs red-black " << itersRb;
-  const double fieldScale = nh::util::normInf(xLex);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(xRb[i], xLex[i], 1e-8 * fieldScale);
-  }
-}
-
 TEST(GeometricMultigrid, FrozenHierarchyRecomputeBitIdenticalToFreshBuild) {
   // Same grid, new operator values: the second compute() refills the
   // Galerkin chain through the cached SpGemm plans. The resulting V-cycle
@@ -388,35 +416,6 @@ TEST(GeometricMultigrid, DiffusionSolverAutoUpgradeMatchesExplicitIc0Solution) {
   EXPECT_LT(viaMg.stats.iterations, viaIc.stats.iterations);
   for (std::size_t v = 0; v < viaMg.field.size(); ++v) {
     EXPECT_NEAR(viaMg.field[v], viaIc.field[v], 1e-6);
-  }
-}
-
-TEST(GeometricMultigrid, DiffusionSolverRedBlackOptInMatchesLexicographic) {
-  // The smoother choice plumbs DiffusionOptions -> CgOptions -> multigrid.
-  // Opting into red-black must change only smoothing order: same converged
-  // field within tolerance, comparable iteration count.
-  nh::fem::VoxelGrid grid(16, 16, 16, 2e-9);
-  nh::fem::DiffusionProblem problem;
-  problem.grid = &grid;
-  problem.coefficient.assign(grid.voxelCount(), 1.5);
-  problem.sourcePerVoxel.assign(grid.voxelCount(), 0.0);
-  problem.sourcePerVoxel[grid.index(8, 8, 12)] = 3e-6;
-  problem.bottomPlaneDirichlet = true;
-  problem.bottomPlaneValue = 300.0;
-
-  nh::fem::DiffusionOptions lex;
-  lex.relTol = 1e-10;
-  lex.multigridMinVoxels = 1024;  // force GMG at 16^3
-  nh::fem::DiffusionOptions redBlack = lex;
-  redBlack.multigridSmoother = nh::util::MultigridSmoother::RedBlack;
-
-  const auto viaLex = nh::fem::solveDiffusion(problem, lex);
-  const auto viaRb = nh::fem::solveDiffusion(problem, redBlack);
-  ASSERT_TRUE(viaLex.converged());
-  ASSERT_TRUE(viaRb.converged());
-  EXPECT_LE(viaRb.stats.iterations, viaLex.stats.iterations + 2);
-  for (std::size_t v = 0; v < viaLex.field.size(); ++v) {
-    EXPECT_NEAR(viaRb.field[v], viaLex.field[v], 1e-6);
   }
 }
 

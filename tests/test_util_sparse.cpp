@@ -3,11 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <exception>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "util/fvstencil.hpp"
+#include "util/multigrid.hpp"
 #include "util/rng.hpp"
 #include "util/spmv.hpp"
+#include "util/threadpool.hpp"
 
 namespace nh::util {
 namespace {
@@ -304,6 +311,161 @@ TEST(SpGemmPlan, ShapeMismatchThrows) {
   EXPECT_THROW(plan.multiply(stampScaled(4, 3, 6, 1.0, 1),
                              stampScaled(2, 2, 3, 1.0, 2), c),
                std::invalid_argument);
+}
+
+// ---- Row-block SpGEMM vs the serial Gustavson oracle --------------------------
+
+/// The serial Gustavson product the row-block SpGEMM replaced: one dense
+/// accumulator, rows in order, columns sorted per row. The row-block version
+/// must reproduce it bit for bit.
+SparseMatrix serialGustavson(const SparseMatrix& a, const SparseMatrix& b) {
+  constexpr std::size_t kNever = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> rowPtr(a.rows() + 1, 0);
+  std::vector<std::size_t> colIdx;
+  std::vector<double> values;
+  std::vector<double> acc(b.cols(), 0.0);
+  std::vector<std::size_t> lastRow(b.cols(), kNever);
+  std::vector<std::size_t> touched;
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    touched.clear();
+    for (std::size_t ka = a.rowPtr()[r]; ka < a.rowPtr()[r + 1]; ++ka) {
+      const std::size_t mid = a.colIdx()[ka];
+      const double av = a.values()[ka];
+      for (std::size_t kb = b.rowPtr()[mid]; kb < b.rowPtr()[mid + 1]; ++kb) {
+        const std::size_t col = b.colIdx()[kb];
+        if (lastRow[col] != r) {
+          lastRow[col] = r;
+          acc[col] = 0.0;
+          touched.push_back(col);
+        }
+        acc[col] += av * b.values()[kb];
+      }
+    }
+    std::sort(touched.begin(), touched.end());
+    for (const std::size_t col : touched) {
+      colIdx.push_back(col);
+      values.push_back(acc[col]);
+    }
+    rowPtr[r + 1] = colIdx.size();
+  }
+  return SparseMatrix::fromCsr(a.rows(), b.cols(), std::move(rowPtr),
+                               std::move(colIdx), std::move(values));
+}
+
+void expectSameCsr(const SparseMatrix& got, const SparseMatrix& want) {
+  EXPECT_EQ(got.rows(), want.rows());
+  EXPECT_EQ(got.cols(), want.cols());
+  EXPECT_EQ(got.rowPtr(), want.rowPtr());
+  EXPECT_EQ(got.colIdx(), want.colIdx());
+  EXPECT_EQ(got.values(), want.values());  // bit-identical
+}
+
+/// Run \p body inside a task of the shared pool, where every row-block loop
+/// runs inline on the one worker -- the serial schedule.
+template <typename Body>
+void inSharedPoolTask(Body&& body) {
+  std::exception_ptr error;
+  ThreadPool::shared().submit([&] {
+    try {
+      body();
+    } catch (...) {
+      error = std::current_exception();
+    }
+  });
+  ThreadPool::shared().wait();
+  if (error) std::rethrow_exception(error);
+}
+
+TEST(SpGemm, RowBlockProductMatchesSerialOracle) {
+  // Operand pairs: random rectangular products below and well above the
+  // row-block threshold, then the Galerkin chain A_{l+1} = R (A_l P) of the
+  // 32^3 FV operator, the products the multigrid set-up runs.
+  std::vector<std::pair<SparseMatrix, SparseMatrix>> operands;
+  operands.emplace_back(stampScaled(40, 70, 300, 1.0, 31),
+                        stampScaled(70, 25, 260, 1.0, 32));
+  operands.emplace_back(stampScaled(9000, 3000, 60000, 1.0, 33),
+                        stampScaled(3000, 5000, 24000, 1.0, 34));
+  operands.emplace_back(stampScaled(5000, 7000, 20000, 1.0, 35),
+                        stampScaled(7000, 400, 30000, 1.0, 36));
+  SparseMatrix fine = makeSteadyFvOperator3d(32, 2.0);
+  for (std::size_t m = 32; m > 4; m /= 2) {
+    const SparseMatrix p = buildTrilinearProlongation(m, m, m, m / 2, m / 2, m / 2);
+    const SparseMatrix ap = serialGustavson(fine, p);
+    SparseMatrix coarse = serialGustavson(p.transposed(), ap);
+    operands.emplace_back(fine, p);
+    operands.emplace_back(p.transposed(), ap);
+    fine = std::move(coarse);
+  }
+
+  std::vector<SparseMatrix> onPool, inTask;
+  for (const auto& [a, b] : operands) onPool.push_back(multiplySparse(a, b));
+  inSharedPoolTask([&] {
+    for (const auto& [a, b] : operands) inTask.push_back(multiplySparse(a, b));
+  });
+  ASSERT_EQ(onPool.size(), operands.size());
+  ASSERT_EQ(inTask.size(), operands.size());
+  for (std::size_t i = 0; i < operands.size(); ++i) {
+    SCOPED_TRACE("product " + std::to_string(i));
+    const SparseMatrix oracle = serialGustavson(operands[i].first, operands[i].second);
+    expectSameCsr(onPool[i], oracle);
+    expectSameCsr(inTask[i], oracle);
+    // Sized exactly: no slack left behind by an over-reserving fill.
+    EXPECT_EQ(onPool[i].colIdx().size(), onPool[i].rowPtr().back());
+  }
+}
+
+TEST(SpGemm, MultiplyIntoReusedOutputMatchesFreshProduct) {
+  // A larger earlier product in the output must leave no stale tail.
+  const auto big = multiplySparse(stampScaled(6000, 3000, 50000, 1.0, 37),
+                                  stampScaled(3000, 3000, 40000, 1.0, 38));
+  const auto a = stampScaled(3000, 2000, 9000, 1.0, 39);
+  const auto b = stampScaled(2000, 2500, 8000, 1.0, 40);
+  SparseMatrix out = big;
+  multiplySparseInto(a, b, out);
+  expectSameCsr(out, serialGustavson(a, b));
+}
+
+TEST(SpGemmPlan, PoolRefillEqualsFreshProduct) {
+  // Refills above the row-block threshold run on the pool with one
+  // accumulator per block; each must equal a fresh product bit for bit.
+  SpGemmPlan plan;
+  SparseMatrix c;
+  plan.multiply(stampScaled(8000, 4000, 64000, 1.0, 41),
+                stampScaled(4000, 6000, 40000, 1.0, 42), c);
+  for (const double scale : {1.7, -0.4}) {
+    const auto a = stampScaled(8000, 4000, 64000, scale, 41);
+    const auto b = stampScaled(4000, 6000, 40000, 1.0 / scale, 42);
+    plan.multiply(a, b, c);
+    EXPECT_TRUE(plan.lastWasRefill());
+    expectSameCsr(c, multiplySparse(a, b));
+    expectSameCsr(c, serialGustavson(a, b));
+  }
+  EXPECT_EQ(plan.symbolicCount(), 1u);
+}
+
+TEST(SparseMatrix, FromCsrValidatesItsInput) {
+  const auto ok = SparseMatrix::fromCsr(2, 3, {0, 2, 3}, {0, 2, 1}, {1.0, 2.0, 3.0});
+  EXPECT_EQ(ok.nonZeros(), 3u);
+  EXPECT_DOUBLE_EQ(ok.at(0, 2), 2.0);
+  EXPECT_DOUBLE_EQ(ok.at(1, 1), 3.0);
+  const auto empty = SparseMatrix::fromCsr(0, 0, {0}, {}, {});
+  EXPECT_EQ(empty.rows(), 0u);
+
+  const auto bad = [](std::vector<std::size_t> rowPtr, std::vector<std::size_t> colIdx,
+                      std::vector<double> values) {
+    EXPECT_THROW(SparseMatrix::fromCsr(2, 3, std::move(rowPtr), std::move(colIdx),
+                                       std::move(values)),
+                 std::invalid_argument);
+  };
+  bad({0, 2}, {0, 1}, {1.0, 1.0});               // too few row offsets
+  bad({1, 2, 3}, {0, 1, 2}, {1.0, 1.0, 1.0});    // first offset not 0
+  bad({0, 2, 2}, {0, 1, 2}, {1.0, 1.0, 1.0});    // last offset != nnz
+  bad({0, 2, 3}, {0, 1, 2}, {1.0, 1.0});         // values/colIdx mismatch
+  bad({0, 3, 2}, {0, 1, 2}, {1.0, 1.0, 1.0});    // offsets decrease
+  bad({0, 5, 3}, {0, 1, 2}, {1.0, 1.0, 1.0});    // offset past nnz
+  bad({0, 2, 3}, {0, 3, 1}, {1.0, 1.0, 1.0});    // column out of range
+  bad({0, 2, 3}, {2, 0, 1}, {1.0, 1.0, 1.0});    // unsorted row
+  bad({0, 2, 3}, {1, 1, 1}, {1.0, 1.0, 1.0});    // duplicate column
 }
 
 TEST(TransposePlan, RefillBitIdenticalToTransposed) {
