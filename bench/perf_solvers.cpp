@@ -523,11 +523,8 @@ void BM_SpiceTransientLinear(benchmark::State& state) {
 }
 BENCHMARK(BM_SpiceTransientLinear)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-/// SPICE transient of an 80-stage RC/memristor ladder (~82 MNA unknowns)
-/// with chord-Newton forced on vs the default full Newton (arg: 0 = full,
-/// 1 = chord). This is the measurement behind NewtonOptions::
-/// reuseMinUnknowns' conservative default: chord trades factorisations for
-/// extra stamped iterations and loses at this size on commodity hardware.
+/// SPICE transient of an 80-stage RC/memristor ladder (~82 MNA unknowns):
+/// full Newton, re-stamping and re-factoring on every iteration.
 void BM_SpiceTransientNewton(benchmark::State& state) {
   using namespace nh::spice;
   constexpr std::size_t kStages = 80;
@@ -555,12 +552,10 @@ void BM_SpiceTransientNewton(benchmark::State& state) {
     TransientOptions opt;
     opt.tStop = 60e-9;
     opt.dtMax = 0.5e-9;
-    opt.newton.reuseFactorization = state.range(0) == 1;
-    opt.newton.reuseMinUnknowns = 0;  // force chord for the comparison
     benchmark::DoNotOptimize(runTransient(ckt, opt));
   }
 }
-BENCHMARK(BM_SpiceTransientNewton)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SpiceTransientNewton)->Unit(benchmark::kMillisecond);
 
 /// The line-network Newton update kernel in isolation (device model
 /// evaluation excluded): dense factorisation of the full (rows+cols)

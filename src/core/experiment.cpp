@@ -255,7 +255,8 @@ std::uint64_t hashStudyConfig(std::uint64_t h, const StudyConfig& c) {
       static_cast<double>(e.substepsPerPulse), e.solveLineNetwork ? 1.0 : 0.0,
       e.relaxBetweenPulses ? 1.0 : 0.0, e.enableBatching ? 1.0 : 0.0,
       e.batchDriftLimit, static_cast<double>(e.maxBatch), e.newtonTol,
-      static_cast<double>(e.maxNewtonIterations), e.useSchurSolve ? 1.0 : 0.0,
+      static_cast<double>(e.maxNewtonIterations),
+      1.0,  // the retired useSchurSolve slot, kept so digests stay stable
       static_cast<double>(e.schurMode),
       static_cast<double>(e.schurIterativeMinCols),
       // DetectorConfig

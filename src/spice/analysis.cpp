@@ -20,15 +20,11 @@ using nh::util::Vector;
 
 /// Newton solver with persistent storage and LU reuse. One engine lives for
 /// a whole analysis (every timestep of a transient), so the Jacobian, the
-/// right-hand side, and the factorisation survive between solves:
-///  * linear circuits re-factor only when dt (or the analysis kind) changes;
-///    with a frozen Jacobian the matrix is not even re-stamped -- elements
-///    only rebuild the rhs (time-dependent sources);
-///  * nonlinear circuits run chord-Newton on the true KCL residual
-///    r = b(x) - J(x) x, which converges to the same solution for any
-///    (nonsingular) frozen factorisation; the stale factorisation gets the
-///    first iteration of a solve, every later iteration re-factors, and an
-///    adaptive probe skips even that shot while it keeps missing.
+/// right-hand side, and the factorisation survive between solves. Linear
+/// circuits re-factor only when dt (or the analysis kind) changes; with a
+/// frozen Jacobian the matrix is not even re-stamped -- elements only
+/// rebuild the rhs (time-dependent sources). Nonlinear circuits re-stamp
+/// and re-factor on every Newton iteration.
 class NewtonEngine {
  public:
   SolveResult solve(Circuit& circuit, double time, double dt, bool transient,
@@ -58,30 +54,13 @@ class NewtonEngine {
         jacobian_.resize(n, n, 0.0);
       }
     }
-    const bool frozenLuUsable = options.reuseFactorization && luValid_ &&
-                                dt == luDt_ && transient == luTransient_;
-
     if (!circuit.hasNonlinear()) {
+      const bool frozenLuUsable = options.reuseFactorization && luValid_ &&
+                                  dt == luDt_ && transient == luTransient_;
       return solveLinear(circuit, time, dt, transient, xPrev, frozenLuUsable,
                          std::move(result), nodeUnknowns);
     }
-    // Below the size threshold the factorisation is cheaper than the extra
-    // chord iterations: run the classic full Newton.
-    NewtonOptions effective = options;
-    if (n < options.reuseMinUnknowns) effective.reuseFactorization = false;
-    // Adaptive chord: when the last solve's stale-LU shot missed, the
-    // Jacobian is drifting too fast between steps -- skip the wasted stale
-    // iteration and re-factor upfront, re-probing the chord every few steps
-    // in case the circuit has settled.
-    bool tryStale = frozenLuUsable && effective.reuseFactorization;
-    if (tryStale && !chordTrusted_) {
-      if (++chordProbeCountdown_ >= kChordProbeInterval) {
-        chordProbeCountdown_ = 0;  // probe the stale LU this step
-      } else {
-        tryStale = false;
-      }
-    }
-    return solveNewton(circuit, time, dt, transient, xPrev, effective, tryStale,
+    return solveNewton(circuit, time, dt, transient, xPrev, options,
                        std::move(result), nodeUnknowns);
   }
 
@@ -132,11 +111,9 @@ class NewtonEngine {
 
   SolveResult solveNewton(Circuit& circuit, double time, double dt,
                           bool transient, const Vector& xPrev,
-                          const NewtonOptions& options, bool frozenLuUsable,
-                          SolveResult result, std::size_t nodeUnknowns) {
+                          const NewtonOptions& options, SolveResult result,
+                          std::size_t nodeUnknowns) {
     const std::size_t n = sysN_;
-    bool refactor = !frozenLuUsable;
-    bool refactoredThisSolve = !frozenLuUsable;
 
     // Fault site: tests force a non-converged Newton solve to exercise the
     // timestep-shrink and per-point isolation paths above this loop.
@@ -156,78 +133,30 @@ class NewtonEngine {
       for (const auto& e : circuit.elements()) e->stamp(ctx);
       // gmin from every node to ground keeps otherwise-floating nodes defined.
       stampGmin(circuit.gmin(), nodeUnknowns);
-      // The chord residual needs J(x) even on iterations that keep a stale
-      // factorisation, so the CSR is refreshed every pass.
       if (useSparse_) assembleSparse();
 
+      // Factor every iteration and solve the companion system for the next
+      // iterate directly. The persistent lu_/xNew_ avoid per-iteration
+      // allocations; refactor()+solveInPlace() run the same elimination and
+      // substitution sequences as a one-shot factorisation.
+      if (!factorSystem()) {
+        result.converged = false;
+        return result;
+      }
+      xNew_.assign(rhs_.begin(), rhs_.end());
+      solveSystem(xNew_);
+      // Voltage limiting: clamp node-voltage updates to keep the
+      // exponential devices inside a trust region (standard SPICE
+      // practice).
       double maxUpdate = 0.0;
-      if (options.reuseFactorization) {
-        // Chord-Newton: delta = LU^{-1} (b - J x) with a possibly stale LU.
-        // The companion-model linearisation makes b - J x the true KCL
-        // residual at x, so any nonsingular LU yields the same fixed point.
-        if (refactor) {
-          if (!factorSystem()) {
-            luValid_ = false;
-            result.converged = false;
-            return result;
-          }
-          luValid_ = true;
-          luDt_ = dt;
-          luTransient_ = transient;
-          refactor = false;
-          refactoredThisSolve = true;
+      for (std::size_t i = 0; i < n; ++i) {
+        double delta = xNew_[i] - result.x[i];
+        if (i < nodeUnknowns) {
+          delta = std::clamp(delta, -options.maxStepVoltage,
+                             options.maxStepVoltage);
+          maxUpdate = std::max(maxUpdate, std::fabs(delta));
         }
-        delta_.resize(n);
-        if (useSparse_) {
-          aCsr_.multiplyInto(result.x, delta_);  // delta = J x ...
-          for (std::size_t r = 0; r < n; ++r) delta_[r] = rhs_[r] - delta_[r];
-        } else {
-          const double* j = jacobian_.data();
-          for (std::size_t r = 0; r < n; ++r) {
-            double acc = rhs_[r];
-            const double* row = j + r * n;
-            for (std::size_t c = 0; c < n; ++c) acc -= row[c] * result.x[c];
-            delta_[r] = acc;
-          }
-        }
-        solveSystem(delta_);
-        for (std::size_t i = 0; i < n; ++i) {
-          double delta = delta_[i];
-          if (i < nodeUnknowns) {
-            delta = std::clamp(delta, -options.maxStepVoltage,
-                               options.maxStepVoltage);
-            maxUpdate = std::max(maxUpdate, std::fabs(delta));
-          }
-          result.x[i] += delta;
-        }
-      } else {
-        // Classic full Newton (seed behaviour): factor every iteration and
-        // solve the companion system for the next iterate directly. The
-        // persistent lu_/xNew_ replace the seed's per-iteration allocations;
-        // refactor()+solveInPlace() run the identical elimination and
-        // substitution sequences, so the results are bit-identical.
-        if (!factorSystem()) {
-          luValid_ = false;
-          result.converged = false;
-          return result;
-        }
-        luValid_ = true;
-        luDt_ = dt;
-        luTransient_ = transient;
-        xNew_.assign(rhs_.begin(), rhs_.end());
-        solveSystem(xNew_);
-        // Voltage limiting: clamp node-voltage updates to keep the
-        // exponential devices inside a trust region (standard SPICE
-        // practice).
-        for (std::size_t i = 0; i < n; ++i) {
-          double delta = xNew_[i] - result.x[i];
-          if (i < nodeUnknowns) {
-            delta = std::clamp(delta, -options.maxStepVoltage,
-                               options.maxStepVoltage);
-            maxUpdate = std::max(maxUpdate, std::fabs(delta));
-          }
-          result.x[i] += delta;
-        }
+        result.x[i] += delta;
       }
       result.iterations = iter + 1;
       result.maxUpdate = maxUpdate;
@@ -236,7 +165,6 @@ class NewtonEngine {
       // the caller (timestep control, per-point isolation) recover.
       if (!std::isfinite(maxUpdate)) {
         result.converged = false;
-        if (frozenLuUsable) chordTrusted_ = false;
         return result;
       }
       double tolerance = options.absTol;
@@ -246,26 +174,10 @@ class NewtonEngine {
       }
       if (maxUpdate < tolerance) {
         result.converged = true;
-        // Re-grade the chord only when a stale shot was actually taken:
-        // solves that started with a refactor (first step, changed dt,
-        // skipped probe) say nothing about the frozen LU's accuracy.
-        if (options.reuseFactorization && frozenLuUsable) {
-          chordTrusted_ = !refactoredThisSolve;
-        }
         return result;
       }
-      // Safeguard: the stale factorisation only ever gets the first
-      // iteration of a solve. When the frozen Jacobian is still accurate
-      // (small state drift between timesteps) that shot converges and the
-      // whole step costs zero factorisations; otherwise every remaining
-      // iteration re-factors -- exactly full Newton plus at most one cheap
-      // O(n^2) probe. Iterating further on a stale LU would trade one
-      // O(n^3) factorisation for many linearly-convergent iterations and
-      // lose whenever element stamping is non-trivial.
-      refactor = true;
     }
     result.converged = false;
-    if (frozenLuUsable) chordTrusted_ = false;
     return result;
   }
 
@@ -314,18 +226,14 @@ class NewtonEngine {
     }
   }
 
-  /// Steps between stale-LU probes once the chord has been distrusted.
-  static constexpr std::size_t kChordProbeInterval = 8;
-
   Matrix jacobian_;
   Vector rhs_;
-  Vector delta_;
   Vector xNew_;
   nh::util::LuFactorization lu_;
   // Sparse backend (n >= NewtonOptions::sparseMinUnknowns): elements stamp a
   // triplet stream, a cached SparsityPattern refills the CSR without
   // allocation, and the Gilbert-Peierls SparseLu replaces the dense
-  // factorisation. The Newton/chord logic above is shared between backends.
+  // factorisation. The Newton logic above is shared between backends.
   bool useSparse_ = false;
   std::size_t sysN_ = 0;
   nh::util::TripletBuilder triplets_{0, 0};
@@ -336,8 +244,6 @@ class NewtonEngine {
   bool luValid_ = false;
   double luDt_ = 0.0;
   bool luTransient_ = false;
-  bool chordTrusted_ = true;   ///< Last stale-LU shot converged unaided.
-  std::size_t chordProbeCountdown_ = 0;
 };
 
 /// One Newton solve of the MNA system at a fixed (time, dt) without

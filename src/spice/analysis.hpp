@@ -19,32 +19,18 @@ struct NewtonOptions {
   double absTol = 1e-9;        ///< Absolute voltage tolerance [V].
   double relTol = 1e-6;        ///< Relative voltage tolerance.
   double maxStepVoltage = 0.5; ///< Per-iteration voltage-update limiter [V].
-  /// Reuse the LU factorisation of the Jacobian while it is (effectively)
-  /// frozen. Linear circuits factor once per (dt, analysis) and skip the
-  /// matrix re-stamp entirely -- bit-identical to re-factoring. Nonlinear
-  /// circuits run chord-Newton on the true KCL residual: the update
-  /// direction uses a stale factorisation until convergence stalls, at which
-  /// point the safeguard re-factors with the current Jacobian; the fixed
-  /// point is the same nonlinear solution within the Newton tolerances.
-  /// Set false for the classic factor-every-iteration Newton (the seed
-  /// behaviour, used as the reference in equivalence tests).
+  /// Linear circuits only: factor once per (dt, analysis) and skip the
+  /// matrix re-stamp while the Jacobian is frozen -- bit-identical to
+  /// re-factoring. Nonlinear circuits re-factor on every Newton iteration
+  /// either way. Set false to re-stamp and re-factor linear circuits every
+  /// step too (the reference in the equivalence tests).
   bool reuseFactorization = true;
-  /// Nonlinear circuits only use chord-Newton at or above this unknown
-  /// count. Linear circuits reuse their frozen LU at any size (pure win,
-  /// bit-identical); for nonlinear circuits the chord's stale-LU probe
-  /// spends an extra stamp + O(n^2) solve whenever it misses, and
-  /// bench/perf_solvers (BM_SpiceTransientNewton) measures full Newton as
-  /// faster up to several hundred unknowns on commodity hardware -- so the
-  /// default keeps chord off for every MNA system this project builds.
-  /// Lower the threshold (0 = always chord) for very large netlists or to
-  /// reproduce the benchmark comparison.
-  std::size_t reuseMinUnknowns = 512;
   /// At or above this unknown count the engine stamps into a triplet stream
   /// (cached SparsityPattern, CSR assembly) and factors with the sparse
   /// Gilbert-Peierls LU instead of allocating and eliminating a dense n x n
   /// Jacobian. Crossbar MNA matrices have O(n) nonzeros, so this turns the
-  /// O(n^3)/O(n^2) dense wall into near-linear work; the Newton/chord
-  /// iteration logic and the frozen-factorisation semantics are unchanged.
+  /// O(n^3)/O(n^2) dense wall into near-linear work; the Newton iteration
+  /// and the frozen-factorisation semantics are unchanged.
   /// Set to SIZE_MAX to force the dense seed path at any size, 0 to force
   /// sparse everywhere (equivalence tests exercise both).
   std::size_t sparseMinUnknowns = 512;

@@ -285,19 +285,9 @@ bool SchurComplementSolver::solveBanded(const TridiagonalView& a1,
     throw std::invalid_argument("SchurComplementSolver::solveBanded: shape mismatch");
   }
   lastIterative_ = {};
-  bool iterative = false;
-  switch (options_.mode) {
-    case SchurOptions::Mode::Dense:
-      break;
-    case SchurOptions::Mode::Iterative:
-      iterative = true;
-      break;
-    case SchurOptions::Mode::Auto:
-      iterative = a2.n >= options_.iterativeMinCols;
-      break;
-  }
-  return iterative ? solveBandedIterative(a1, a2, g, r, x)
-                   : solveBandedDense(a1, a2, g, r, x);
+  return options_.mode == SchurOptions::Mode::Iterative
+             ? solveBandedIterative(a1, a2, g, r, x)
+             : solveBandedDense(a1, a2, g, r, x);
 }
 
 bool SchurComplementSolver::solveBandedDense(const TridiagonalView& a1,

@@ -147,17 +147,15 @@ class TridiagonalFactor {
 
 /// Controls for SchurComplementSolver.
 struct SchurOptions {
+  /// Backend of solveBanded: the dense assembly is O(n1 n2^2) per solve,
+  /// the matrix-free CG O(n1 n2) per iteration, so CG wins once the column
+  /// count clears the CG iteration count (tens for these diagonally dominant
+  /// complements); the caller picks the crossover.
   enum class Mode {
     Dense,      ///< Assemble the dense Schur complement and LU-factor it.
     Iterative,  ///< Matrix-free Jacobi-preconditioned CG on the complement.
-    Auto,       ///< Iterative when n2 >= iterativeMinCols, else Dense.
   };
-  Mode mode = Mode::Auto;
-  /// Auto-mode crossover: the dense assembly is O(n1 n2^2) per solve, the
-  /// matrix-free CG is O(n1 n2) per iteration, so CG wins once the column
-  /// count clears the CG iteration count (tens for these diagonally
-  /// dominant complements).
-  std::size_t iterativeMinCols = 128;
+  Mode mode = Mode::Dense;
   double cgRelTol = 1e-12;
   std::size_t cgMaxIter = 4000;
 };

@@ -77,7 +77,6 @@ void FastEngine::refreshCrosstalk(const RowWork& rowWork) {
 void FastEngine::solveNetwork(const LineBias& bias) {
   const std::size_t rows = array_->rows();
   const std::size_t cols = array_->cols();
-  const std::size_t n = rows + cols;
   const double rDrv = array_->config().driverResistance;
 
   if (!options_.solveLineNetwork || rDrv <= 0.0) {
@@ -86,154 +85,22 @@ void FastEngine::solveNetwork(const LineBias& bias) {
     return;
   }
 
-  // Warm start from the ideal bias (previous solution can belong to a very
-  // different bias, e.g. after a scheme change).
-  for (std::size_t r = 0; r < rows; ++r) lineVoltages_[r] = bias.wordLine[r];
-  for (std::size_t c = 0; c < cols; ++c) lineVoltages_[rows + c] = bias.bitLine[c];
+  // Every line is driven to its bias level through the driver impedance.
+  drivers_.level.resize(rows + cols);
+  std::copy(bias.wordLine.begin(), bias.wordLine.end(), drivers_.level.begin());
+  std::copy(bias.bitLine.begin(), bias.bitLine.end(), drivers_.level.begin() + rows);
+  drivers_.conductance.assign(rows + cols, 1.0 / rDrv);
 
-  const double gDrv = 1.0 / rDrv;
-  if (gMat_.rows() != rows || gMat_.cols() != cols) gMat_.resize(rows, cols, 0.0);
-  dRow_.resize(rows);
-  dCol_.resize(cols);
-  residual_.resize(n);
-  delta_.resize(n);
-  cellScratch_.resize(rows * cols);
-  rowNonConverged_.resize(rows);
-
-  bool converged = false;
-  for (std::size_t iter = 0; iter < options_.maxNewtonIterations; ++iter) {
-    fillJacobian(bias, gDrv);
-
-    if (options_.useSchurSolve) {
-      solveNetworkSchur(rows, cols);
-    } else {
-      solveNetworkDense(rows, cols);
-    }
-
-    double maxStep = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d = std::clamp(delta_[i], -0.5, 0.5);
-      lineVoltages_[i] -= d;
-      // std::max drops a NaN second argument; keep it so the guard sees it.
-      maxStep = std::isnan(d) ? d : std::max(maxStep, std::fabs(d));
-    }
-    ++newtonTotal_;
-    // NaN/Inf guard: std::clamp passes NaN through, so a poisoned solve
-    // would otherwise iterate to the cap and leave NaN line voltages behind.
-    if (!std::isfinite(maxStep)) {
-      throw nh::util::SolverError("fastsim.newton",
-                                  "non-finite update in line-network solve",
-                                  iter + 1, maxStep);
-    }
-    if (maxStep < options_.newtonTol) {
-      converged = true;
-      break;
-    }
+  const LineSolveResult solved =
+      network_.solve(*array_, drivers_, options_, lineVoltages_);
+  newtonTotal_ += solved.newtonIterations;
+  conductionNonConverged_ += solved.conductionNonConverged;
+  if (!std::isfinite(solved.lastStep)) {
+    throw nh::util::SolverError("fastsim.newton",
+                                "non-finite update in line-network solve",
+                                solved.newtonIterations, solved.lastStep);
   }
-  if (!converged) ++newtonCapHits_;
-}
-
-void FastEngine::fillJacobian(const LineBias& bias, double gDrv) {
-  // The Jacobian in block form: the word/bit diagonal blocks are diagonal
-  // (dRow_/dCol_) and the coupling block is the dense device conductance
-  // matrix gMat_. A word line's residual and diagonal sum its own cells in
-  // column order, so row blocks fill them independently.
-  const std::size_t rows = array_->rows();
-  const std::size_t cols = array_->cols();
-  forRowBlocks([&](std::size_t begin, std::size_t end) {
-    for (std::size_t r = begin; r < end; ++r) {
-      double res = 0.0;
-      res += gDrv * (lineVoltages_[r] - bias.wordLine[r]);
-      double diag = gDrv;
-      std::size_t nonConverged = 0;
-      for (std::size_t c = 0; c < cols; ++c) {
-        const double v = lineVoltages_[r] - lineVoltages_[rows + c];
-        const nh::spice::CurrentAndConductance e = array_->cell(r, c).evaluate(v);
-        if (!e.converged) ++nonConverged;
-        double g = e.conductance;
-        if (!(g > 0.0)) g = 1e-12;
-        res += e.current;
-        diag += g;
-        cellScratch_[r * cols + c] = e.current;
-        gMat_(r, c) = g;
-      }
-      residual_[r] = res;
-      dRow_[r] = diag;
-      rowNonConverged_[r] = nonConverged;
-    }
-  });
-  // A bit line sums over rows: one serial pass in row order, the order of
-  // the row-by-row serial fill.
-  for (std::size_t c = 0; c < cols; ++c) {
-    double res = 0.0;
-    res += gDrv * (lineVoltages_[rows + c] - bias.bitLine[c]);
-    residual_[rows + c] = res;
-    dCol_[c] = gDrv;
-  }
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      residual_[rows + c] -= cellScratch_[r * cols + c];
-      dCol_[c] += gMat_(r, c);
-    }
-  }
-  addRowNonConverged();
-}
-
-void FastEngine::solveNetworkSchur(std::size_t rows, std::size_t cols) {
-  // Word lines couple only to bit lines: the Jacobian is the bipartite block
-  // system SchurComplementSolver handles in O(rows*cols^2) instead of the
-  // O((rows+cols)^3) dense factorisation. Above the Auto crossover the
-  // matrix-free CG complement drops that to O(rows*cols) per iteration.
-  (void)rows;
-  using SchurMode = FastEngineOptions::SchurMode;
-  SchurMode mode = options_.schurMode;
-  if (mode == SchurMode::Auto) {
-    mode = cols >= options_.schurIterativeMinCols ? SchurMode::Iterative
-                                                  : SchurMode::SeedDense;
-  }
-  bool ok = false;
-  if (mode == SchurMode::SeedDense) {
-    ok = schurSolver_.solve(dRow_, dCol_, gMat_, residual_, delta_);
-  } else {
-    schurSolver_.options().mode = mode == SchurMode::Iterative
-                                      ? nh::util::SchurOptions::Mode::Iterative
-                                      : nh::util::SchurOptions::Mode::Dense;
-    ok = schurSolver_.solveBanded(nh::util::TridiagonalView::diagonal(dRow_),
-                                  nh::util::TridiagonalView::diagonal(dCol_),
-                                  gMat_, residual_, delta_);
-  }
-  if (!ok) {
-    // The iterative path carries CG diagnostics; the dense paths report a
-    // plain singular factorisation (iterations/residual stay zero).
-    const nh::util::IterativeResult& cg = schurSolver_.lastIterative();
-    throw nh::util::SolverError(
-        "fastsim.schur",
-        cg.iterations > 0 ? "line-network Schur CG did not converge"
-                          : "singular line-network Schur complement",
-        cg.iterations, cg.residualNorm);
-  }
-}
-
-void FastEngine::solveNetworkDense(std::size_t rows, std::size_t cols) {
-  // Seed-equivalent dense path: assemble the full Jacobian and factor it.
-  const std::size_t n = rows + cols;
-  if (jacobian_.rows() != n || jacobian_.cols() != n) jacobian_.resize(n, n, 0.0);
-  jacobian_.fill(0.0);
-  for (std::size_t r = 0; r < rows; ++r) jacobian_(r, r) = dRow_[r];
-  for (std::size_t c = 0; c < cols; ++c) jacobian_(rows + c, rows + c) = dCol_[c];
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      const std::size_t bc = rows + c;
-      jacobian_(r, bc) = -gMat_(r, c);
-      jacobian_(bc, r) = -gMat_(r, c);
-    }
-  }
-  if (!lu_.refactor(jacobian_)) {
-    throw nh::util::SolverError("fastsim.dense",
-                                "singular line-network Jacobian");
-  }
-  std::copy(residual_.begin(), residual_.end(), delta_.begin());
-  lu_.solveInPlace(delta_);
+  if (solved.capHit) ++newtonCapHits_;
 }
 
 void FastEngine::step(const LineBias& bias, double h) {

@@ -3,8 +3,8 @@
 /// Fast quasi-static crossbar engine. Pulse lengths (10-100 ns) are much
 /// longer than both the electrical line time constants (~ps) and the
 /// filament thermal time constant (~ns), so within a pulse the circuit is
-/// solved quasi-statically: a small Newton solve of the line network, the
-/// crosstalk hub update (Eq. 5), then state/temperature integration inside
+/// solved quasi-statically: a Newton solve of the line network
+/// (LineNetworkSolver, xbar/linenet.hpp), the crosstalk hub update (Eq. 5), then state/temperature integration inside
 /// each compact model. A deterministic pulse-batching accelerator with
 /// bounded state-drift per batch makes the 10^5..10^6-pulse sweeps of
 /// Fig. 3 tractable; tests verify it against the unbatched engine and the
@@ -19,17 +19,17 @@
 /// in row-major order. Results are therefore bit-identical to a serial run
 /// at every thread count. An engine driven from inside a pool task (an
 /// nh_sweep grid point, a campaign trial) runs its blocks inline, so
-/// multi-point grids keep point-level parallelism only. The Schur solve
-/// stays serial.
+/// multi-point grids keep point-level parallelism only. The Schur solve of
+/// each Newton update stays serial.
 
 #include <cstddef>
 #include <functional>
 #include <vector>
 
-#include "util/linsolve.hpp"
 #include "util/matrix.hpp"
 #include "xbar/array.hpp"
 #include "xbar/crosstalk.hpp"
+#include "xbar/linenet.hpp"
 #include "xbar/scheme.hpp"
 
 namespace nh::xbar {
@@ -48,26 +48,17 @@ struct FastEngineOptions {
   double batchDriftLimit = 0.002;
   /// Hard cap on the batch size.
   std::size_t maxBatch = 1024;
-  /// Newton controls for the line-network solve.
+  /// Newton controls for the line-network solve (xbar/linenet.hpp).
   double newtonTol = 1e-9;
   std::size_t maxNewtonIterations = 60;
-  /// Solve each Newton update through the Schur complement on the bit-line
-  /// block. The line-network Jacobian's diagonal blocks are diagonal (every
-  /// word line couples to every bit line but never to another word line), so
-  /// eliminating the word-line block costs O(rows*cols^2) instead of the
-  /// O((rows+cols)^3) dense factorisation. False keeps the seed dense solve
-  /// (equivalence-test reference).
-  bool useSchurSolve = true;
-  /// Which Schur backend carries the solve (only meaningful with
-  /// useSchurSolve). SeedDense is the original dense-complement assembly —
-  /// byte-identical to the seed at any size. Banded routes the diagonal
-  /// line blocks through the Thomas factorisation (same dense complement,
-  /// cheaper A1 handling); Iterative runs the matrix-free Jacobi-CG
-  /// complement, which is what takes 1024x1024 arrays past the
-  /// O(rows*cols^2) dense-assembly wall. Auto keeps the seed path below
-  /// schurIterativeMinCols bit lines (bit-identical where the paper's
-  /// figures live) and switches to Iterative above it.
-  enum class SchurMode { SeedDense, Banded, Iterative, Auto };
+  /// Which Schur-complement backend carries each Newton update. SeedDense
+  /// assembles and LU-factors the dense complement, O(rows*cols^2) per
+  /// update; Iterative runs the matrix-free Jacobi-CG complement, O(rows*cols)
+  /// per CG iteration, which takes 1024x1024 arrays past the dense-assembly
+  /// wall. Auto takes SeedDense below schurIterativeMinCols bit lines
+  /// (bit-identical where the paper's figures live) and Iterative from
+  /// there. The values are pinned: the config digest hashes them.
+  enum class SchurMode { SeedDense = 0, Iterative = 2, Auto = 3 };
   SchurMode schurMode = SchurMode::Auto;
   /// Auto crossover: bit-line count at which the solve goes iterative.
   std::size_t schurIterativeMinCols = 128;
@@ -155,12 +146,6 @@ class FastEngine {
   void refreshCrosstalk(const RowWork& rowWork);
   /// Solve the line network; fills lineVoltages_.
   void solveNetwork(const LineBias& bias);
-  /// Evaluate the Newton Jacobian and KCL residual at lineVoltages_.
-  void fillJacobian(const LineBias& bias, double gDrv);
-  /// Newton update via the bit-line Schur complement; fills delta_.
-  void solveNetworkSchur(std::size_t rows, std::size_t cols);
-  /// Newton update via the seed dense factorisation; fills delta_.
-  void solveNetworkDense(std::size_t rows, std::size_t cols);
 
   CrossbarArray* array_;
   CrosstalkHub hub_;
@@ -178,23 +163,15 @@ class FastEngine {
   nh::util::Matrix selfExcess_;
   nh::util::Matrix crosstalkIn_;
   /// Results of the last row-block loop, reduced by a serial pass in
-  /// row-major order: per cell, the Jacobian fill's currents (bit-line
-  /// residuals) or a substep's energy (totalEnergy_); per row, the
-  /// non-converged conduction solves.
+  /// row-major order: per cell, a substep's energy (totalEnergy_); per row,
+  /// the non-converged conduction solves.
   std::vector<double> cellScratch_;
   std::vector<std::size_t> rowNonConverged_;
 
-  // Line-network solve workspace, persistent across substeps and pulses so
-  // the million-pulse sweeps never reallocate it. gMat_/dRow_/dCol_ hold the
-  // Jacobian in factored block form [diag(dRow_), -G; -G^T, diag(dCol_)].
-  nh::util::Matrix gMat_;       ///< Device small-signal conductances (rows x cols).
-  nh::util::Vector dRow_;       ///< Word-line block diagonal.
-  nh::util::Vector dCol_;       ///< Bit-line block diagonal.
-  nh::util::Vector residual_;   ///< KCL residual (rows + cols).
-  nh::util::Vector delta_;      ///< Newton update (rows + cols).
-  nh::util::SchurComplementSolver schurSolver_;
-  nh::util::Matrix jacobian_;   ///< Dense path only (rows+cols square).
-  nh::util::LuFactorization lu_;
+  /// Line-network solver and its driver buffer, persistent across substeps
+  /// and pulses so the million-pulse sweeps never reallocate them.
+  LineNetworkSolver network_;
+  LineDrivers drivers_;
 };
 
 }  // namespace nh::xbar

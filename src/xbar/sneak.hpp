@@ -5,7 +5,11 @@
 /// this module quantifies exactly that: the parasitic current through
 /// unselected cells, the current a sense amplifier sees on the selected bit
 /// line, and the resulting read margin -- as a function of biasing scheme,
-/// array size and stored data pattern.
+/// array size and stored data pattern. A read is one solve of the line
+/// network the attack engine also solves (LineNetworkSolver,
+/// xbar/linenet.hpp), with the engine's default Newton and Schur settings;
+/// from kParallelMinCells cells up its Jacobian fill runs in row blocks on
+/// the shared thread pool, bit-identical to a serial solve.
 
 #include <cstddef>
 
@@ -32,11 +36,16 @@ struct SneakAnalysis {
   /// the full drive voltage across sneak chains, disturb-stressing
   /// unselected cells; with V/2 the bound is vDrive/2 by construction.
   double maxUnselectedVoltage = 0.0;
+  /// Newton iterations of the line-network solve.
+  std::size_t newtonIterations = 0;
 };
 
 /// Solve the resistive crossbar network for one read and decompose the
 /// currents. The array's device states are used as stored data; the array
-/// is not modified.
+/// is not modified. The selected lines (and, under HalfBias, every other
+/// line) are driven through max(driverResistance, 1e-3) Ohm; floating lines
+/// carry no driver. Throws nh::util::SolverError ("xbar.read") when the
+/// Newton solve hits its iteration cap or goes non-finite.
 SneakAnalysis analyzeSneak(const CrossbarArray& array, std::size_t selRow,
                            std::size_t selCol, double vRead, ReadScheme scheme);
 

@@ -57,7 +57,7 @@ TEST(ConfigEquality, PerturbedFieldBreaksEquality) {
   EXPECT_NE(fem::DiffusionOptions{}, h);
 
   xbar::FastEngineOptions i;
-  i.useSchurSolve = false;
+  i.schurIterativeMinCols += 1;
   EXPECT_NE(xbar::FastEngineOptions{}, i);
 
   jart::Params j = jart::Params::paperDefaults();

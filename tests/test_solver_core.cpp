@@ -1,9 +1,9 @@
 /// Equivalence tests for the structure-reusing solver core: cached sparse
 /// assembly vs fresh builds (bit-identical), IC(0)- vs Jacobi-preconditioned
 /// CG (same solution, fewer iterations), dense LU refactor/solveInPlace vs
-/// one-shot factor/solve, chord-Newton SPICE transients vs the seed
-/// full-Newton path (within Newton tolerance), and the Schur-complement
-/// line-network solve vs the seed dense factorisation.
+/// one-shot factor/solve, frozen-LU linear SPICE transients vs re-factoring
+/// (bit-identical), and the Schur-complement line-network solve vs a dense
+/// factorisation of the whole Jacobian.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +24,7 @@
 #include "util/rng.hpp"
 #include "util/sparse.hpp"
 #include "xbar/fastsim.hpp"
+#include "xbar/linenet.hpp"
 
 namespace {
 
@@ -568,70 +569,6 @@ TEST(SpiceReuse, LinearTransientBitIdenticalWithFrozenLu) {
   }
 }
 
-/// Minimal memristive model (same shape as the engine tests): conductance
-/// grows with the integral of |v|, making every transient step nonlinear.
-class ToyMemristor final : public nh::spice::MemristiveModel {
- public:
-  double current(double v) const override { return g_ * v; }
-  void advance(double v, double dt) override {
-    g_ += 1e-2 * std::fabs(v) * dt / 1e-9;
-  }
-  double conductanceNow() const { return g_; }
-
- private:
-  double g_ = 1e-4;
-};
-
-nh::spice::TransientResult runMemristorTransient(bool reuse, double* gFinal) {
-  using namespace nh::spice;
-  Circuit ckt;
-  const NodeId in = ckt.node("in");
-  const NodeId mid = ckt.node("mid");
-  auto owned = std::make_unique<ToyMemristor>();
-  PulseSpec pulse;
-  pulse.base = 0.0;
-  pulse.amplitude = 1.0;
-  pulse.delay = 20e-9;
-  pulse.rise = 0.5e-9;
-  pulse.fall = 0.5e-9;
-  pulse.width = 30e-9;
-  ckt.emplace<VoltageSource>("V1", in, ckt.ground(),
-                             std::make_unique<PulseWaveform>(pulse));
-  ckt.emplace<Resistor>("R1", in, mid, 500.0);
-  ckt.emplace<Memristor>("M1", mid, ckt.ground(), owned.get());
-  TransientOptions opt;
-  opt.tStop = 100e-9;
-  opt.dtMax = 1e-9;
-  opt.newton.reuseFactorization = reuse;
-  opt.newton.reuseMinUnknowns = 0;  // force chord even on this tiny system
-  auto result = runTransient(ckt, opt, {probeNodeVoltage(ckt, "mid")});
-  if (gFinal != nullptr) *gFinal = owned->conductanceNow();
-  return result;
-}
-
-TEST(SpiceReuse, ChordNewtonMatchesFullNewtonWithinTolerance) {
-  double gFull = 0.0;
-  double gChord = 0.0;
-  const auto full = runMemristorTransient(false, &gFull);
-  const auto chord = runMemristorTransient(true, &gChord);
-  ASSERT_TRUE(full.completed) << full.failureReason;
-  ASSERT_TRUE(chord.completed) << chord.failureReason;
-
-  // Both fixed points satisfy the same KCL residual within the Newton
-  // tolerances; step-size control may pick slightly different grids, so
-  // compare the physical outcomes rather than sample-by-sample.
-  EXPECT_NEAR(gChord, gFull, 1e-3 + 1e-3 * gFull);
-  const auto& va = full.seriesFor("v(mid)");
-  const auto& vb = chord.seriesFor("v(mid)");
-  const auto peak = [](const std::vector<double>& s) {
-    double m = 0.0;
-    for (const double v : s) m = std::max(m, std::fabs(v));
-    return m;
-  };
-  EXPECT_NEAR(peak(va), peak(vb), 1e-4);
-  EXPECT_NEAR(va.back(), vb.back(), 1e-6);
-}
-
 // ---- Schur-complement line-network solve ------------------------------------
 
 TEST(SchurComplementSolver, MatchesDenseSolveOnRandomBlockSystems) {
@@ -683,45 +620,85 @@ TEST(SchurComplementSolver, ShapeMismatchThrows) {
                std::invalid_argument);
 }
 
-TEST(FastEngineSchur, MatchesDenseSolveOnRandomCrossbars) {
+/// Test-local reference for the line network: Newton on the fully
+/// assembled (rows + cols) square Jacobian, LU-factored densely every
+/// iteration, with the same update clamp and tolerance as LineNetworkSolver.
+Vector denseLineNewton(const nh::xbar::CrossbarArray& array,
+                       const nh::xbar::LineDrivers& drivers) {
+  const std::size_t rows = array.rows();
+  const std::size_t cols = array.cols();
+  const std::size_t n = rows + cols;
+  Vector v = drivers.level;
+  for (int iter = 0; iter < 60; ++iter) {
+    Matrix j(n, n, 0.0);
+    Vector res(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      j(i, i) = drivers.conductance[i];
+      res[i] = drivers.conductance[i] * (v[i] - drivers.level[i]);
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        const std::size_t b = rows + c;
+        const auto e = array.cell(r, c).evaluate(v[r] - v[b]);
+        const double g = e.conductance > 0.0 ? e.conductance : 1e-12;
+        res[r] += e.current;
+        res[b] -= e.current;
+        j(r, r) += g;
+        j(b, b) += g;
+        j(r, b) -= g;
+        j(b, r) -= g;
+      }
+    }
+    const Vector delta = nh::util::solveDense(j, res);
+    double maxStep = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double d = std::clamp(delta[i], -0.5, 0.5);
+      v[i] -= d;
+      maxStep = std::max(maxStep, std::fabs(d));
+    }
+    if (maxStep < 1e-9) return v;
+  }
+  ADD_FAILURE() << "dense reference Newton did not converge";
+  return v;
+}
+
+TEST(LineNetworkSolver, MatchesDenseJacobianNewtonOnRandomCrossbars) {
+  // The Schur-complement Newton against the dense factorisation of the
+  // whole Jacobian: driven (V/2 hammer bias) and partly floating lines.
   Rng rng(2024);
   for (int trial = 0; trial < 3; ++trial) {
     nh::xbar::ArrayConfig cfg;
     cfg.rows = 4 + static_cast<std::size_t>(trial);  // non-square too
     cfg.cols = 6;
-    nh::xbar::CrossbarArray dense(cfg);
-    nh::xbar::CrossbarArray schur(cfg);
+    nh::xbar::CrossbarArray array(cfg);
     for (std::size_t r = 0; r < cfg.rows; ++r) {
       for (std::size_t c = 0; c < cfg.cols; ++c) {
-        const auto state = rng.uniform(0.0, 1.0) < 0.5 ? nh::xbar::CellState::Hrs
-                                                       : nh::xbar::CellState::Lrs;
-        dense.setState(r, c, state);
-        schur.setState(r, c, state);
+        array.setState(r, c, rng.uniform(0.0, 1.0) < 0.5 ? nh::xbar::CellState::Hrs
+                                                         : nh::xbar::CellState::Lrs);
       }
     }
-    nh::xbar::FastEngineOptions denseOpt;
-    denseOpt.useSchurSolve = false;
-    nh::xbar::FastEngineOptions schurOpt;
-    schurOpt.useSchurSolve = true;
-    nh::xbar::FastEngine engineDense(dense, nh::xbar::AlphaTable::analytic(50e-9),
-                                     denseOpt);
-    nh::xbar::FastEngine engineSchur(schur, nh::xbar::AlphaTable::analytic(50e-9),
-                                     schurOpt);
     const auto bias = nh::xbar::selectBias(nh::xbar::BiasScheme::Half, cfg.rows,
                                            cfg.cols, 1, 2, 1.05);
-    engineDense.applyBias(bias, 10e-9);
-    engineSchur.applyBias(bias, 10e-9);
-
-    const auto& lvDense = engineDense.lastLineVoltages();
-    const auto& lvSchur = engineSchur.lastLineVoltages();
-    ASSERT_EQ(lvDense.size(), lvSchur.size());
-    for (std::size_t i = 0; i < lvDense.size(); ++i) {
-      EXPECT_NEAR(lvDense[i], lvSchur[i], 1e-9) << "line " << i;
-    }
-    for (std::size_t r = 0; r < cfg.rows; ++r) {
-      for (std::size_t c = 0; c < cfg.cols; ++c) {
-        EXPECT_NEAR(dense.cell(r, c).temperature(), schur.cell(r, c).temperature(),
-                    1e-6);
+    nh::xbar::LineDrivers drivers;
+    drivers.level = bias.wordLine;
+    drivers.level.insert(drivers.level.end(), bias.bitLine.begin(),
+                         bias.bitLine.end());
+    drivers.conductance.assign(cfg.rows + cfg.cols, 1.0 / cfg.driverResistance);
+    for (const bool floating : {false, true}) {
+      if (floating) {
+        drivers.conductance[0] = 0.0;             // an unselected word line
+        drivers.conductance[cfg.rows + 4] = 0.0;  // an unselected bit line
+      }
+      nh::xbar::LineNetworkSolver solver;
+      Vector voltages;
+      const auto solved =
+          solver.solve(array, drivers, nh::xbar::FastEngineOptions{}, voltages);
+      ASSERT_TRUE(solved.converged());
+      EXPECT_EQ(solved.conductionNonConverged, 0u);
+      const Vector ref = denseLineNewton(array, drivers);
+      ASSERT_EQ(voltages.size(), ref.size());
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        EXPECT_NEAR(voltages[i], ref[i], 1e-9) << "line " << i;
       }
     }
   }
@@ -863,7 +840,6 @@ TEST(SchurComplementSolver, DegenerateShapesMatchDense) {
                     1e-8 * std::max(1.0, std::fabs(s.xRef[i])));
       }
     }
-    solver.options().mode = nh::util::SchurOptions::Mode::Auto;
   }
 }
 
@@ -1028,8 +1004,8 @@ TEST(SparseLu, SingularMatrixReturnsFalse) {
 // ---- FastEngine Schur-mode equivalence ---------------------------------------
 
 TEST(FastEngineSchur, AllModesMatchTheSeedDensePath) {
-  // Banded, Iterative, and a forced-iterative Auto must reproduce the seed
-  // dense line solve on the same crossbar within solver tolerance.
+  // Iterative and a forced-iterative Auto must reproduce the seed dense line
+  // solve on the same crossbar within solver tolerance.
   using SchurMode = nh::xbar::FastEngineOptions::SchurMode;
   nh::xbar::ArrayConfig cfg;
   cfg.rows = 7;
@@ -1038,7 +1014,6 @@ TEST(FastEngineSchur, AllModesMatchTheSeedDensePath) {
   const auto runWith = [&](SchurMode mode, std::size_t minCols,
                            nh::xbar::CrossbarArray& array) {
     nh::xbar::FastEngineOptions opt;
-    opt.useSchurSolve = true;
     opt.schurMode = mode;
     opt.schurIterativeMinCols = minCols;
     nh::xbar::FastEngine engine(array, nh::xbar::AlphaTable::analytic(50e-9),
@@ -1069,8 +1044,7 @@ TEST(FastEngineSchur, AllModesMatchTheSeedDensePath) {
   }
 
   for (const auto [mode, minCols] :
-       {std::pair<SchurMode, std::size_t>{SchurMode::Banded, 128},
-        {SchurMode::Iterative, 128},
+       {std::pair<SchurMode, std::size_t>{SchurMode::Iterative, 128},
         {SchurMode::Auto, 1}}) {  // Auto past the crossover goes iterative
     auto array = makeArray();
     const auto lv = runWith(mode, minCols, array);

@@ -168,41 +168,5 @@ TEST(SparseStamping, CrossbarTransientHammerMatchesDense) {
               1e-6 * std::max(1.0, std::fabs(victimDense)) + 1e-12);
 }
 
-TEST(SparseStamping, ChordNewtonSemanticsSurviveTheSparsePath) {
-  // reuseFactorization + chord thresholds compose with the sparse target:
-  // forcing chord-Newton (reuseMinUnknowns = 0) on the sparse LU must land
-  // on the same operating point as classic full Newton on the dense one.
-  Circuit chordCkt;
-  const auto build = [](Circuit& ckt) {
-    const NodeId in = ckt.node("in");
-    NodeId prev = in;
-    ckt.emplace<VoltageSource>("V1", in, ckt.ground(), 3.0);
-    for (int k = 0; k < 4; ++k) {
-      const NodeId next = ckt.node("n" + std::to_string(k));
-      ckt.emplace<Resistor>("R" + std::to_string(k), prev, next, 500.0);
-      ckt.emplace<Diode>("D" + std::to_string(k), next, ckt.ground());
-      prev = next;
-    }
-  };
-  build(chordCkt);
-  NewtonOptions chordSparse = sparseForced();
-  chordSparse.reuseMinUnknowns = 0;
-  chordSparse.reuseFactorization = true;
-  const SolveResult chord = solveDc(chordCkt, chordSparse);
-  ASSERT_TRUE(chord.converged);
-
-  Circuit refCkt;
-  build(refCkt);
-  NewtonOptions fullDense = denseForced();
-  fullDense.reuseFactorization = false;
-  const SolveResult ref = solveDc(refCkt, fullDense);
-  ASSERT_TRUE(ref.converged);
-
-  ASSERT_EQ(chord.x.size(), ref.x.size());
-  for (std::size_t i = 0; i < ref.x.size(); ++i) {
-    EXPECT_NEAR(chord.x[i], ref.x[i], 1e-6 * std::max(1.0, std::fabs(ref.x[i])));
-  }
-}
-
 }  // namespace
 }  // namespace nh::spice

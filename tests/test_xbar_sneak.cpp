@@ -2,7 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "spice/analysis.hpp"
+#include "spice/elements.hpp"
+#include "util/linsolve.hpp"
+#include "util/rng.hpp"
 #include "xbar/fastsim.hpp"
+#include "xbar/linenet.hpp"
 
 namespace nh::xbar {
 namespace {
@@ -12,6 +23,170 @@ ArrayConfig config(std::size_t n) {
   cfg.rows = n;
   cfg.cols = n;
   return cfg;
+}
+
+/// Oracle: the read as a SPICE MNA circuit -- one node per line, a named
+/// Memristor element per cell, a source behind the driver resistance on
+/// each driven line, and SPICE's gmin from every node to ground (the only
+/// model difference from analyzeSneak, visible on floating lines).
+SneakAnalysis spiceRead(const CrossbarArray& array, std::size_t selRow,
+                        std::size_t selCol, double vRead, ReadScheme scheme,
+                        bool& converged) {
+  using namespace nh::spice;
+  Circuit ckt;
+  const double rDrv = std::max(array.config().driverResistance, 1e-3);
+  std::vector<NodeId> wordNodes, bitNodes;
+  for (std::size_t r = 0; r < array.rows(); ++r) {
+    wordNodes.push_back(ckt.node("wl" + std::to_string(r)));
+  }
+  for (std::size_t c = 0; c < array.cols(); ++c) {
+    bitNodes.push_back(ckt.node("bl" + std::to_string(c)));
+  }
+  const auto drive = [&](const std::string& name, NodeId node, double level) {
+    const NodeId src = ckt.node(name + "_src");
+    auto* source = ckt.emplace<VoltageSource>(name, src, ckt.ground(), level);
+    ckt.emplace<Resistor>(name + "_rdrv", src, node, rDrv);
+    return source;
+  };
+  drive("vwl_sel", wordNodes[selRow], vRead);
+  VoltageSource* bitDriver = drive("vbl_sel", bitNodes[selCol], 0.0);
+  if (scheme == ReadScheme::HalfBias) {
+    for (std::size_t r = 0; r < array.rows(); ++r) {
+      if (r != selRow) drive("vwl" + std::to_string(r), wordNodes[r], vRead / 2);
+    }
+    for (std::size_t c = 0; c < array.cols(); ++c) {
+      if (c != selCol) drive("vbl" + std::to_string(c), bitNodes[c], vRead / 2);
+    }
+  }
+  for (std::size_t r = 0; r < array.rows(); ++r) {
+    for (std::size_t c = 0; c < array.cols(); ++c) {
+      // const_cast: the Memristor element only mutates state via
+      // acceptStep, which a DC solve never calls.
+      auto* model = const_cast<jart::JartDevice*>(&array.cell(r, c));
+      ckt.emplace<Memristor>("x" + std::to_string(r) + "_" + std::to_string(c),
+                             wordNodes[r], bitNodes[c], model);
+    }
+  }
+
+  const SolveResult op = solveDc(ckt);
+  converged = op.converged;
+  const auto nodeV = [&](NodeId id) { return id == 0 ? 0.0 : op.x[id - 1]; };
+  SneakAnalysis out;
+  // The source's branch current is the current into the 0 V driver.
+  out.bitLineCurrent = bitDriver->branchCurrent(op.x);
+  const double vCell = nodeV(wordNodes[selRow]) - nodeV(bitNodes[selCol]);
+  out.selectedCurrent = array.cell(selRow, selCol).current(vCell);
+  out.sneakCurrent = out.bitLineCurrent - out.selectedCurrent;
+  for (std::size_t r = 0; r < array.rows(); ++r) {
+    for (std::size_t c = 0; c < array.cols(); ++c) {
+      if (r == selRow && c == selCol) continue;
+      const double v = nodeV(wordNodes[r]) - nodeV(bitNodes[c]);
+      out.halfSelectPower += std::abs(v * array.cell(r, c).current(v));
+      out.maxUnselectedVoltage = std::max(out.maxUnselectedVoltage, std::abs(v));
+    }
+  }
+  return out;
+}
+
+TEST(Sneak, MatchesSpiceReadOracleOnSampledArrays) {
+  // Seeded arrays from 3x3 to 32x32 (non-square too): random LRS/HRS mixes
+  // at a per-array LRS fraction, plus checkerboards, read under both
+  // schemes at a read and at a write level. Declared envelope: 1e-8
+  // relative under V/2; 1e-4 with floating lines, where SPICE's 1e-12 S
+  // gmin on every node is the only model difference.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {3, 3}, {3, 7}, {4, 4}, {5, 5}, {8, 6}, {9, 9}, {12, 16}, {16, 16}, {32, 32}};
+  std::uint64_t stream = 0;
+  std::size_t compared = 0;
+  for (const auto& [rows, cols] : shapes) {
+    for (const bool checkerboard : {false, true}) {
+      util::Rng rng = util::Rng::forStream(2026, stream++);
+      ArrayConfig cfg;
+      cfg.rows = rows;
+      cfg.cols = cols;
+      CrossbarArray array(cfg);
+      const double lrsFraction = rng.uniform(0.1, 0.9);
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          const bool lrs = checkerboard ? (r + c) % 2 == 0 : rng.uniform() < lrsFraction;
+          array.setState(r, c, lrs ? CellState::Lrs : CellState::Hrs);
+        }
+      }
+      const std::size_t selRow = rng.uniformInt(rows);
+      const std::size_t selCol = rng.uniformInt(cols);
+      for (const ReadScheme scheme : {ReadScheme::HalfBias, ReadScheme::FloatingLines}) {
+        const double tol = scheme == ReadScheme::HalfBias ? 1e-8 : 1e-4;
+        for (const double vRead : {0.2, 1.05}) {
+          const std::string what = std::to_string(rows) + "x" + std::to_string(cols) +
+                                   (checkerboard ? " checkerboard" : " mixed") +
+                                   (scheme == ReadScheme::HalfBias ? " V/2 " : " floating ") +
+                                   std::to_string(vRead) + " V";
+          bool converged = false;
+          const SneakAnalysis ref = spiceRead(array, selRow, selCol, vRead, scheme, converged);
+          ASSERT_TRUE(converged) << what;
+          const SneakAnalysis got = analyzeSneak(array, selRow, selCol, vRead, scheme);
+          EXPECT_GT(got.newtonIterations, 0u) << what;
+          const auto near = [&](double a, double b, double scale, const char* field) {
+            EXPECT_LE(std::abs(a - b), tol * std::abs(scale)) << what << ": " << field;
+          };
+          near(got.bitLineCurrent, ref.bitLineCurrent, ref.bitLineCurrent, "bitLineCurrent");
+          near(got.selectedCurrent, ref.selectedCurrent, ref.selectedCurrent,
+               "selectedCurrent");
+          // The sneak share is a difference of the two: scale by the total.
+          near(got.sneakCurrent, ref.sneakCurrent, ref.bitLineCurrent, "sneakCurrent");
+          near(got.halfSelectPower, ref.halfSelectPower, ref.halfSelectPower,
+               "halfSelectPower");
+          near(got.maxUnselectedVoltage, ref.maxUnselectedVoltage,
+               ref.maxUnselectedVoltage, "maxUnselectedVoltage");
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, std::size(shapes) * 2 * 2 * 2);
+}
+
+TEST(LineNetworkSolver, ReportsTheIterationCap) {
+  // One Newton iteration cannot meet newtonTol from the ideal-driver start
+  // of a loaded network: the solve reports the cap instead of passing the
+  // unconverged voltages off as a solution.
+  CrossbarArray array(config(5));
+  array.fill(CellState::Lrs);
+  const LineBias bias = selectBias(BiasScheme::Half, 5, 5, 2, 2, 1.05);
+  LineDrivers drivers;
+  drivers.level = bias.wordLine;
+  drivers.level.insert(drivers.level.end(), bias.bitLine.begin(), bias.bitLine.end());
+  drivers.conductance.assign(10, 1.0 / array.config().driverResistance);
+  FastEngineOptions options;
+  options.maxNewtonIterations = 1;
+  LineNetworkSolver solver;
+  util::Vector voltages;
+  const LineSolveResult capped = solver.solve(array, drivers, options, voltages);
+  EXPECT_EQ(capped.newtonIterations, 1u);
+  EXPECT_TRUE(capped.capHit);
+  EXPECT_FALSE(capped.converged());
+  EXPECT_GT(capped.lastStep, options.newtonTol);
+
+  const LineSolveResult full = solver.solve(array, drivers, FastEngineOptions{}, voltages);
+  EXPECT_TRUE(full.converged());
+  EXPECT_FALSE(full.capHit);
+  EXPECT_GT(full.newtonIterations, 1u);
+  EXPECT_LT(full.lastStep, FastEngineOptions{}.newtonTol);
+}
+
+TEST(Sneak, NonFiniteReadThrowsSolverError) {
+  // A read the Newton loop cannot finish is an error, never a silent
+  // result: a NaN drive level poisons the first update.
+  CrossbarArray array(config(3));
+  array.fill(CellState::Lrs);
+  try {
+    analyzeSneak(array, 1, 1, std::numeric_limits<double>::quiet_NaN(),
+                 ReadScheme::HalfBias);
+    FAIL() << "expected SolverError";
+  } catch (const util::SolverError& e) {
+    EXPECT_EQ(e.solve(), "xbar.read");
+    EXPECT_EQ(e.iterations(), 1u);
+  }
 }
 
 TEST(Sneak, HalfBiasBoundsUnselectedVoltage) {
