@@ -30,9 +30,10 @@ AttackStudy::AttackStudy(StudyConfig config) : config_(std::move(config)) {
     layout.cols = config_.cols;
     layout.spacing = config_.spacing;
     layout.voxelSize = config_.femVoxelSize;
-    // extractAlpha chains the power sweep's CG solves (each point
+    // extractAlpha solves the centre cell's mirror quadrant of the
+    // symmetric model and chains the power sweep's CG solves (each point
     // warm-starts from the previous point's rise over ambient scaled by the
-    // power ratio, so only the first point iterates in earnest) and
+    // power ratio, so only the first point iterates in earnest);
     // femOptions picks the preconditioner -- on fine-voxel grids the solves
     // run GMG-preconditioned CG.
     const auto extraction =
@@ -45,7 +46,8 @@ AttackStudy::AttackStudy(StudyConfig config) : config_(std::move(config)) {
     }
     nh::util::logInfo("AttackStudy: FEM alphas extracted, Rth=", extraction.rTh,
                       " K/W, nearest alpha=", alphas_.at(0, 1),
-                      ", CG iterations per power point=", iterations);
+                      ", CG iterations per power point=", iterations,
+                      " on ", extraction.solvedVoxels, " voxels");
   } else {
     alphas_ = xbar::AlphaTable::analytic(config_.spacing);
   }

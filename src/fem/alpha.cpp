@@ -82,6 +82,9 @@ AlphaResult extractAlpha(const CrossbarModel3D& model,
     throw std::out_of_range("extractAlpha: selected cell out of range");
   }
   validatePowers(powers);
+  if (!std::isfinite(ambientK)) {
+    throw std::invalid_argument("extractAlpha: ambient temperature must be finite");
+  }
 
   AlphaResult result;
   result.selectedRow = selectedRow;
@@ -89,21 +92,28 @@ AlphaResult extractAlpha(const CrossbarModel3D& model,
   result.ambientK = ambientK;
   result.powers = powers;
 
+  // A centre-heated symmetric model solves its mirror quadrant; anything
+  // else solves the full model.
+  const auto quadrant = MirrorQuadrant::detect(model, selectedRow, selectedCol);
+  result.solvedVoxels =
+      quadrant ? quadrant->grid().voxelCount() : model.grid().voxelCount();
+  ThermalScenario scenario;
+  scenario.model = &model;
+  scenario.materials = materials;
+  scenario.ambientK = ambientK;
+  scenario.cellPower = nh::util::Matrix(layout.rows, layout.cols, 0.0);
+
   std::vector<double> guess;
   // One solver for the whole power sweep: the FV assembly is symbolic-phased
   // once and every later power point only refills values.
   ThermalSolver solver;
   for (std::size_t i = 0; i < powers.size(); ++i) {
     const double p = powers[i];
-    ThermalScenario scenario;
-    scenario.model = &model;
-    scenario.materials = materials;
-    scenario.ambientK = ambientK;
-    scenario.cellPower = nh::util::Matrix(layout.rows, layout.cols, 0.0);
+    const std::vector<double>* start = guess.empty() ? nullptr : &guess;
     scenario.cellPower(selectedRow, selectedCol) = p;
-
     const ThermalSolution sol =
-        solver.solve(scenario, options, guess.empty() ? nullptr : &guess);
+        quadrant ? solver.solve(*quadrant, materials, ambientK, p, options, start)
+                 : solver.solve(scenario, options, start);
     if (!sol.converged()) {
       throw std::runtime_error("extractAlpha: thermal solve did not converge");
     }
@@ -152,6 +162,7 @@ AlphaResult extractAlphaCoupled(const CrossbarModel3D& model,
   result.selectedRow = selectedRow;
   result.selectedCol = selectedCol;
   result.ambientK = ambientK;
+  result.solvedVoxels = model.grid().voxelCount();
 
   // Shared solver: both diffusion systems (potential + heat) keep their
   // cached assemblies across the voltage sweep, and each voltage point

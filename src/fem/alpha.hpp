@@ -13,6 +13,18 @@
 /// ambient scaled by the power ratio, which already solves the next system
 /// to within the CG tolerance, so every point after the first needs at most
 /// a couple of iterations (AlphaResult::cgIterations).
+///
+/// extractAlpha solves the mirror quadrant (quadrant.hpp) whenever
+/// MirrorQuadrant::detect() confirms the symmetry: even nx and ny, every
+/// voxel's material equal to its mirror images in x and in y, each cell's
+/// filament mapped onto its mirror cell's, and the selected cell the centre
+/// of an odd array (the heat problem's Neumann sides and Dirichlet bottom
+/// are mirror-invariant). The quadrant carries P/4 at the full per-voxel
+/// density; the full temperature matrices, alpha and predictTemperatures
+/// are rebuilt by mirroring, so mirror cells are exactly equal. Any failed
+/// condition falls back to the full model with no option involved;
+/// AlphaResult::solvedVoxels says which domain ran. extractAlphaCoupled
+/// always solves the full model.
 
 #include <vector>
 
@@ -39,15 +51,20 @@ struct AlphaResult {
   std::vector<nh::util::Matrix> temperatureMatrices;
   /// CG iterations of each power point's heat solve, in sweep order.
   std::vector<std::size_t> cgIterations;
+  /// Unknowns of each heat solve: the mirror quadrant's voxels when the
+  /// sweep ran on it, else the full grid's.
+  std::size_t solvedVoxels = 0;
 
   /// Temperature matrix predicted by the linear model at power \p p [W].
   nh::util::Matrix predictTemperatures(double p) const;
 };
 
 /// Extract Rth and the alpha matrix by sweeping the selected cell's
-/// dissipated power (prescribed-power mode; heat equation only). Throws
-/// std::invalid_argument before any solve unless \p powers holds at least
-/// two finite, non-negative values of which at least two differ.
+/// dissipated power (prescribed-power mode; heat equation only), on the
+/// mirror quadrant when the symmetry holds and on the full model otherwise.
+/// Throws std::invalid_argument before any solve unless \p powers holds at
+/// least two finite, non-negative values of which at least two differ, and
+/// \p ambientK is finite.
 AlphaResult extractAlpha(const CrossbarModel3D& model,
                          const MaterialTable& materials, std::size_t selectedRow,
                          std::size_t selectedCol, const std::vector<double>& powers,

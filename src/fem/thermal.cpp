@@ -8,15 +8,6 @@ namespace nh::fem {
 
 namespace {
 
-void kappaFieldInto(const CrossbarModel3D& model, const MaterialTable& materials,
-                    std::vector<double>& kappa) {
-  const VoxelGrid& grid = model.grid();
-  kappa.resize(grid.voxelCount());
-  for (std::size_t v = 0; v < grid.voxelCount(); ++v) {
-    kappa[v] = materials.kappa(grid.material(v));
-  }
-}
-
 nh::util::Matrix cellAverages(const CrossbarModel3D& model,
                               const std::vector<double>& field) {
   const auto& layout = model.layout();
@@ -27,6 +18,32 @@ nh::util::Matrix cellAverages(const CrossbarModel3D& model,
     }
   }
   return out;
+}
+
+void validateAmbient(double ambientK) {
+  if (!std::isfinite(ambientK)) {
+    throw std::invalid_argument("solveThermal: ambient temperature must be finite");
+  }
+}
+
+void validatePower(double power) {
+  if (!std::isfinite(power) || power < 0.0) {
+    throw std::invalid_argument("solveThermal: cell power must be finite and >= 0");
+  }
+}
+
+/// The heat problem every thermal solve shares: kappa per voxel, insulated
+/// sides and top, the substrate bottom held at ambient, and no source yet.
+void setUpHeatProblem(DiffusionProblem& problem, const VoxelGrid& grid,
+                      const MaterialTable& materials, double ambientK) {
+  problem.grid = &grid;
+  problem.coefficient.resize(grid.voxelCount());
+  for (std::size_t v = 0; v < grid.voxelCount(); ++v) {
+    problem.coefficient[v] = materials.kappa(grid.material(v));
+  }
+  problem.bottomPlaneDirichlet = true;
+  problem.bottomPlaneValue = ambientK;
+  problem.sourcePerVoxel.assign(grid.voxelCount(), 0.0);
 }
 
 }  // namespace
@@ -42,16 +59,16 @@ ThermalSolution ThermalSolver::solve(const ThermalScenario& scenario,
     throw std::invalid_argument("solveThermal: cellPower shape mismatch");
   }
 
-  problem_.grid = &model.grid();
-  kappaFieldInto(model, scenario.materials, problem_.coefficient);
-  problem_.bottomPlaneDirichlet = true;
-  problem_.bottomPlaneValue = scenario.ambientK;
-  problem_.sourcePerVoxel.assign(model.grid().voxelCount(), 0.0);
+  validateAmbient(scenario.ambientK);
+  for (std::size_t r = 0; r < layout.rows; ++r) {
+    for (std::size_t c = 0; c < layout.cols; ++c) validatePower(scenario.cellPower(r, c));
+  }
+
+  setUpHeatProblem(problem_, model.grid(), scenario.materials, scenario.ambientK);
   for (std::size_t r = 0; r < layout.rows; ++r) {
     for (std::size_t c = 0; c < layout.cols; ++c) {
       const double p = scenario.cellPower(r, c);
       if (p == 0.0) continue;
-      if (p < 0.0) throw std::invalid_argument("solveThermal: negative cell power");
       const auto& voxels = model.cell(r, c).filamentVoxels;
       const double perVoxel = p / static_cast<double>(voxels.size());
       for (const std::size_t v : voxels) problem_.sourcePerVoxel[v] += perVoxel;
@@ -64,6 +81,25 @@ ThermalSolution ThermalSolver::solve(const ThermalScenario& scenario,
   out.temperature = sol.field;
   out.stats = sol.stats;
   out.cellTemperature = cellAverages(model, sol.field);
+  return out;
+}
+
+ThermalSolution ThermalSolver::solve(const MirrorQuadrant& quadrant,
+                                     const MaterialTable& materials, double ambientK,
+                                     double power, const DiffusionOptions& options,
+                                     const std::vector<double>* initialGuess) {
+  validateAmbient(ambientK);
+  validatePower(power);
+  setUpHeatProblem(problem_, quadrant.grid(), materials, ambientK);
+  problem_.sourcePerVoxel = quadrant.heatSource(power);
+
+  DiffusionSolution sol =
+      diffusion_.solve(problem_, MirrorQuadrant::solveOptions(options), initialGuess);
+
+  ThermalSolution out;
+  out.cellTemperature = quadrant.cellTemperatures(sol.field);
+  out.temperature = std::move(sol.field);
+  out.stats = sol.stats;
   return out;
 }
 
@@ -135,11 +171,7 @@ CoupledSolution CoupledSolver::solve(const CoupledScenario& scenario,
   const std::vector<double> joule = phi.dissipationPerVoxel(electric_);
 
   // ---- heat solve (Eq. 1) -----------------------------------------------------
-  heat_.grid = &grid;
-  heat_.coefficient.resize(grid.voxelCount());
-  for (std::size_t v = 0; v < grid.voxelCount(); ++v) {
-    heat_.coefficient[v] = scenario.materials.kappa(grid.material(v));
-  }
+  setUpHeatProblem(heat_, grid, scenario.materials, scenario.ambientK);
   // Filament kappa from Wiedemann-Franz at ambient (per-cell sigma).
   for (std::size_t r = 0; r < layout.rows; ++r) {
     for (std::size_t c = 0; c < layout.cols; ++c) {
@@ -151,8 +183,6 @@ CoupledSolution CoupledSolver::solve(const CoupledScenario& scenario,
       }
     }
   }
-  heat_.bottomPlaneDirichlet = true;
-  heat_.bottomPlaneValue = scenario.ambientK;
   heat_.sourcePerVoxel = joule;
 
   const DiffusionSolution temp = heatSolver_.solve(

@@ -12,6 +12,7 @@
 
 #include "fem/diffusion.hpp"
 #include "fem/geometry.hpp"
+#include "fem/quadrant.hpp"
 #include "util/matrix.hpp"
 
 namespace nh::fem {
@@ -41,10 +42,21 @@ ThermalSolution solveThermal(const ThermalScenario& scenario,
 /// Structure-reusing form of solveThermal(): repeated solves on the same
 /// model (power sweeps, alpha extraction) reuse the cached FV assembly,
 /// coefficient/source buffers, and CG workspace of one DiffusionSolver.
+/// Both forms throw std::invalid_argument before any assembly on a
+/// negative or non-finite power or a non-finite ambient temperature.
 class ThermalSolver {
  public:
   ThermalSolution solve(const ThermalScenario& scenario,
                         const DiffusionOptions& options = {},
+                        const std::vector<double>* initialGuess = nullptr);
+
+  /// Solve the mirror quadrant of a centre-heated model (quadrant.hpp):
+  /// \p power [W] into the centre cell. temperature is the quadrant field
+  /// (and \p initialGuess a quadrant field); cellTemperature is the full
+  /// rows x cols matrix, rebuilt by mirroring.
+  ThermalSolution solve(const MirrorQuadrant& quadrant,
+                        const MaterialTable& materials, double ambientK,
+                        double power, const DiffusionOptions& options = {},
                         const std::vector<double>* initialGuess = nullptr);
 
  private:

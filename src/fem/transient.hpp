@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "fem/geometry.hpp"
+#include "fem/quadrant.hpp"
 #include "fem/thermal.hpp"
 
 namespace nh::fem {
@@ -51,6 +52,11 @@ struct TransientSolution {
   std::vector<std::vector<double>> cellTemperature;
   std::vector<std::string> cellLabels;
   bool converged = false;
+  /// CG iterations of each implicit-Euler step, in time order.
+  std::vector<std::size_t> cgIterations;
+  /// Unknowns of each step's solve: the mirror quadrant's voxels when the
+  /// march ran on it, else the full grid's.
+  std::size_t solvedVoxels = 0;
 
   /// Time to reach 63.2% of the final rise for series \p index [s];
   /// NaN when the series never crosses.
@@ -58,15 +64,29 @@ struct TransientSolution {
 };
 
 /// Run the step response. Each implicit-Euler step solves the SPD system
-/// (C/dt + A) T_new = C/dt T_old + q with conjugate gradients, warm-started
-/// from the previous step.
+/// (C/dt + A) T_new = C/dt T_old + q with conjugate gradients to relTol,
+/// starting from the linear extrapolation 2 T_n - T_{n-1} (T_n on the first
+/// step); TransientSolution::cgIterations records each step's count.
+///
+/// When MirrorQuadrant::detect() confirms the symmetry (even nx and ny,
+/// mirror-equal materials and filaments, the heated cell the centre of an
+/// odd array; see quadrant.hpp) the march runs on the mirror quadrant with
+/// P/4 and each observed cell is read through its mirror image, so the
+/// traces are those of the full model up to the CG tolerance. Otherwise it
+/// marches the full model; TransientSolution::solvedVoxels says which.
+///
+/// Throws std::invalid_argument before any assembly unless 0 < dt < tStop,
+/// tStop is finite and at most 1e9 steps long, power is finite and >= 0 and
+/// ambientK is finite; std::out_of_range for a heated cell off the array.
 TransientSolution solveThermalStep(const TransientScenario& scenario,
                                    const DiffusionOptions& options = {});
 
 /// Structure-reusing form of solveThermalStep(): repeated runs on the same
 /// grid reuse the cached sparsity pattern, CSR matrix, field vectors, and CG
 /// scratch. Within one run the implicit-Euler operator is frozen, so the
-/// IC(0) preconditioner is factored once and reused for every step.
+/// preconditioner is built once and reused for every step. solve(scenario)
+/// always marches the full model it is given: the production path for
+/// non-symmetric cases and the tests' full-domain oracle.
 class ThermalTransientSolver {
  public:
   ThermalTransientSolver();
@@ -75,6 +95,13 @@ class ThermalTransientSolver {
   ThermalTransientSolver& operator=(ThermalTransientSolver&&) noexcept;
 
   TransientSolution solve(const TransientScenario& scenario,
+                          const DiffusionOptions& options = {});
+
+  /// March \p quadrant, the mirror quadrant of scenario.model heated at its
+  /// centre cell (quadrant.hpp): the traces are those of the full model,
+  /// each observed cell read through its mirror image in the quadrant.
+  TransientSolution solve(const MirrorQuadrant& quadrant,
+                          const TransientScenario& scenario,
                           const DiffusionOptions& options = {});
 
  private:

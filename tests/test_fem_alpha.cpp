@@ -5,6 +5,7 @@
 #include <limits>
 #include <vector>
 
+#include "fem/quadrant.hpp"
 #include "fem/thermal.hpp"
 
 namespace nh::fem {
@@ -61,9 +62,36 @@ TEST(SolveThermal, InputValidation) {
   scenario.model = &model;
   scenario.cellPower = nh::util::Matrix(2, 2, 0.0);  // wrong shape
   EXPECT_THROW(solveThermal(scenario), std::invalid_argument);
+  // maxIterations = 1 lets a solve that did run return unconverged without
+  // throwing, so invalid_argument proves the check came first.
+  DiffusionOptions oneIteration;
+  oneIteration.maxIterations = 1;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-1.0, nan, inf}) {
+    scenario.cellPower = nh::util::Matrix(3, 3, 0.0);
+    scenario.cellPower(0, 0) = bad;
+    EXPECT_THROW(solveThermal(scenario, oneIteration), std::invalid_argument) << bad;
+  }
   scenario.cellPower = nh::util::Matrix(3, 3, 0.0);
-  scenario.cellPower(0, 0) = -1.0;
-  EXPECT_THROW(solveThermal(scenario), std::invalid_argument);
+  scenario.cellPower(1, 1) = 1e-4;
+  for (const double bad : {nan, inf, -inf}) {
+    scenario.ambientK = bad;
+    EXPECT_THROW(solveThermal(scenario, oneIteration), std::invalid_argument) << bad;
+  }
+  // The quadrant form checks the same inputs.
+  const auto quadrant = MirrorQuadrant::detect(model, 1, 1);
+  ASSERT_TRUE(quadrant.has_value());
+  ThermalSolver solver;
+  for (const double bad : {-1.0, nan, inf}) {
+    EXPECT_THROW(solver.solve(*quadrant, MaterialTable::defaults(), 300.0, bad,
+                              oneIteration),
+                 std::invalid_argument)
+        << bad;
+  }
+  EXPECT_THROW(solver.solve(*quadrant, MaterialTable::defaults(), nan, 1e-4,
+                            oneIteration),
+               std::invalid_argument);
 }
 
 TEST(ExtractAlpha, LinearFitsAreNearPerfect) {
@@ -98,9 +126,10 @@ TEST(ExtractAlpha, AlphaStructure) {
       EXPECT_LT(result.alpha(r, c), 1.0);
     }
   }
-  // Geometry is mirror symmetric around the centre cell.
-  EXPECT_NEAR(result.alpha(1, 0), result.alpha(1, 2), 0.02);
-  EXPECT_NEAR(result.alpha(0, 1), result.alpha(2, 1), 0.02);
+  // Geometry is mirror symmetric around the centre cell, and the quadrant
+  // solve makes the mirror cells equal by construction.
+  EXPECT_EQ(result.alpha(1, 0), result.alpha(1, 2));
+  EXPECT_EQ(result.alpha(0, 1), result.alpha(2, 1));
 }
 
 TEST(ExtractAlpha, TighterSpacingCouplesMore) {
@@ -189,6 +218,25 @@ TEST(ExtractAlpha, SuperpositionPredictorLeavesLaterPointsNearlyFree) {
     EXPECT_GT(result.rThRSquared, 0.9999);
   }
 }
+
+class CentreAlphaMirror : public ::testing::TestWithParam<double> {};
+
+TEST_P(CentreAlphaMirror, IsExactlyMirrorEqualAtEverySpacing) {
+  // The production extraction solves the centre cell's mirror quadrant and
+  // rebuilds the full matrix by mirroring, so alpha is mirror-equal exactly.
+  CrossbarLayout layout;  // the 5x5 geometry of the study and Fig. 2a
+  layout.spacing = GetParam() * 1e-9;
+  const auto result = extractCentreAlpha(layout, 300.0);
+  EXPECT_EQ(4 * result.solvedVoxels, CrossbarModel3D::build(layout).grid().voxelCount());
+  for (std::size_t r = 0; r < 5; ++r) {
+    for (std::size_t c = 0; c < 5; ++c) {
+      EXPECT_EQ(result.alpha(r, c), result.alpha(r, 4 - c)) << r << "," << c;
+      EXPECT_EQ(result.alpha(r, c), result.alpha(4 - r, c)) << r << "," << c;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Spacings, CentreAlphaMirror, ::testing::Values(10.0, 50.0, 90.0));
 
 TEST(SolveCoupled, SelectedLrsCellDominatesHeating) {
   const auto model = smallModel();

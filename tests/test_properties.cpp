@@ -6,6 +6,8 @@
 
 #include <cmath>
 
+#include "core/attack.hpp"
+#include "core/study.hpp"
 #include "jart/model.hpp"
 #include "util/rng.hpp"
 #include "xbar/crosstalk.hpp"
@@ -178,6 +180,59 @@ TEST_P(AlphaTableProperty, StructureHoldsAtEverySpacing) {
 INSTANTIATE_TEST_SUITE_P(Spacings, AlphaTableProperty,
                          ::testing::Values(10.0, 20.0, 35.0, 50.0, 65.0, 80.0,
                                            90.0));
+
+// ---- mirror invariance of a FEM-alpha study ---------------------------------------
+
+TEST(FemAlphaProperty, MirrorImagesOfTheVictimFlipAlike) {
+  // The quadrant extraction makes the FEM alpha table exactly mirror-equal
+  // and the V/2 line network is mirror symmetric, so a single-aggressor
+  // attack on a victim and on its three mirror images about the array
+  // centre, each with its aggressor mirrored too, must flip after the same
+  // number of pulses.
+  core::StudyConfig config;
+  config.rows = 5;
+  config.cols = 5;
+  config.useFemAlphas = true;
+  const core::AttackStudy study(config);
+  const xbar::AlphaTable& alphas = study.alphas();
+  for (long long dr = -2; dr <= 2; ++dr) {
+    for (long long dc = -2; dc <= 2; ++dc) {
+      if (dr == 0 && dc == 0) continue;
+      EXPECT_EQ(alphas.at(dr, dc), alphas.at(-dr, dc)) << dr << "," << dc;
+      EXPECT_EQ(alphas.at(dr, dc), alphas.at(dr, -dc)) << dr << "," << dc;
+    }
+  }
+
+  const auto pulsesAtMirrorImages = [&](xbar::CellCoord victim,
+                                        xbar::CellCoord aggressor) {
+    std::vector<std::size_t> pulses;
+    for (unsigned mirror = 0; mirror < 4; ++mirror) {
+      const auto image = [&](xbar::CellCoord c) {
+        if ((mirror & 1U) != 0) c.row = config.rows - 1 - c.row;
+        if ((mirror & 2U) != 0) c.col = config.cols - 1 - c.col;
+        return c;
+      };
+      core::AttackConfig attack;
+      attack.aggressors = {image(aggressor)};
+      attack.victims = {image(victim)};
+      attack.maxPulses = 500'000;
+      const core::AttackResult result = study.attack(attack);
+      EXPECT_TRUE(result.flipped) << "mirror " << mirror;
+      pulses.push_back(result.pulsesToFlip);
+    }
+    return pulses;
+  };
+  // An off-centre victim with its word-line neighbour toward the edge, and
+  // the centre victim with the single-aggressor pattern's neighbour.
+  for (const auto& [victim, aggressor] :
+       {std::pair<xbar::CellCoord, xbar::CellCoord>{{1, 1}, {1, 0}},
+        std::pair<xbar::CellCoord, xbar::CellCoord>{{2, 2}, {2, 1}}}) {
+    const std::vector<std::size_t> pulses = pulsesAtMirrorImages(victim, aggressor);
+    for (const std::size_t p : pulses) {
+      EXPECT_EQ(p, pulses.front()) << "victim " << victim.row << "," << victim.col;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace nh
