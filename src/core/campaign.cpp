@@ -2,36 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
-#include "util/annotations.hpp"
 #include "util/cancellation.hpp"
-#include "util/faultinject.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
-#include "util/threadpool.hpp"
 
 namespace nh::core {
 
 namespace {
-
-/// The centre-cell reference attack of AttackStudy::attackCenter, with the
-/// campaign's bias scheme applied (the V/3 countermeasure arm of the blinded
-/// comparison needs BiasScheme::Third, which attackCenter hardwires away).
-AttackConfig centerAttackConfig(const CampaignConfig& config) {
-  AttackConfig attack;
-  const std::size_t cr = config.base.rows / 2;
-  const std::size_t cc = config.base.cols / 2;
-  attack.aggressors = {{cr, cc}};
-  attack.pulse = config.pulse;
-  attack.maxPulses = config.budget;
-  attack.scheme = config.scheme;
-  if (cc > 0) attack.victims.push_back({cr, cc - 1});
-  if (cc + 1 < config.base.cols) attack.victims.push_back({cr, cc + 1});
-  if (cr > 0) attack.victims.push_back({cr - 1, cc});
-  if (cr + 1 < config.base.rows) attack.victims.push_back({cr + 1, cc});
-  return attack;
-}
 
 /// One trial: perturb the cell params under the trial's own counter-based
 /// stream, build a fresh study, attack. When \p disturbRow is non-null
@@ -47,11 +27,13 @@ void runTrial(const CampaignConfig& config, std::size_t trial,
   // config is unique, and thousands of one-shot entries would evict the warm
   // studies the rest of the experiment catalog shares.
   const AttackStudy study(trialConfig);
-  const AttackConfig attack = centerAttackConfig(config);
+  // The V/3 countermeasure arm of the blinded comparison needs its own bias
+  // scheme on the centre attack.
+  AttackConfig attack = study.centerAttackConfig(config.pulse, config.budget);
+  attack.scheme = config.scheme;
 
   if (disturbRow == nullptr) {
     const AttackResult r = study.attack(attack);
-    out.status = TrialOutcome::Status::Ok;
     out.flipped = r.flipped;
     out.pulses = r.flipped ? r.pulsesToFlip : 0;
     return;
@@ -62,7 +44,6 @@ void runTrial(const CampaignConfig& config, std::size_t trial,
   const std::vector<ReadState> before = detector.snapshot(*bench.array);
   AttackEngine engine(*bench.engine, config.base.detector);
   const AttackResult r = engine.run(attack);
-  out.status = TrialOutcome::Status::Ok;
   out.flipped = r.flipped;
   out.pulses = r.flipped ? r.pulsesToFlip : 0;
   for (const FlipEvent& ev : detector.flipsSince(*bench.array, before)) {
@@ -81,6 +62,8 @@ CampaignResult runCampaign(const CampaignConfig& config) {
     throw std::invalid_argument("runCampaign: trials must be > 0");
   if (config.batchSize == 0)
     throw std::invalid_argument("runCampaign: batchSize must be > 0");
+  if (!(std::isfinite(config.sigma) && config.sigma >= 0.0))
+    throw std::invalid_argument("runCampaign: sigma must be finite and >= 0");
   if (!(config.confidence > 0.0 && config.confidence < 1.0))
     throw std::invalid_argument("runCampaign: confidence outside (0, 1)");
   if (config.bootstrapResamples == 0)
@@ -94,49 +77,36 @@ CampaignResult runCampaign(const CampaignConfig& config) {
   std::vector<std::uint8_t> disturbed;
   if (config.recordCellHealth) disturbed.assign(trials * cells, 0);
 
-  // Progress accounting for the onTrialComplete observer.
-  struct Progress {
-    util::Mutex mutex;
-    std::size_t completed NH_GUARDED_BY(mutex) = 0;
-  } progress;
-
-  const std::size_t batches = (trials + config.batchSize - 1) / config.batchSize;
-  util::parallelFor(
-      batches,
-      [&](std::size_t batch) {
-        const std::size_t begin = batch * config.batchSize;
-        const std::size_t end = std::min(trials, begin + config.batchSize);
-        for (std::size_t trial = begin; trial < end; ++trial) {
-          util::checkCancellation("campaign trial");
-          const util::faultinject::Scope scope("trial:" +
-                                               std::to_string(trial));
-          TrialOutcome& out = outcomes[trial];
-          std::uint8_t* disturbRow =
-              config.recordCellHealth ? &disturbed[trial * cells] : nullptr;
-          try {
-            runTrial(config, trial, out, disturbRow);
-          } catch (const util::CancelledError&) {
-            throw;
-          } catch (const std::exception& e) {
-            if (config.onTrialFailure == TrialFailurePolicy::Abort) throw;
-            out = TrialOutcome{};
-            out.status = TrialOutcome::Status::Failed;
-            out.error = e.what();
-            // A half-run trial must not leak partial disturb marks.
-            if (disturbRow != nullptr)
-              std::fill(disturbRow, disturbRow + cells, std::uint8_t{0});
-          }
-          if (config.onTrialComplete) {
-            std::size_t done = 0;
-            {
-              util::MutexLock lock(progress.mutex);
-              done = ++progress.completed;
-            }
-            config.onTrialComplete(trial, done);
+  // Trials run through the indexed-task runner under the "trial:<i>" label,
+  // without retries, under the caller's ambient cancellation token. Settle
+  // calls are serialised, so the observer sees completed = 1, 2, ... in
+  // order.
+  std::vector<std::size_t> order(trials);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::size_t completed = 0;  // touched only by the serialised settle calls
+  runIndexedTasks(
+      order,
+      {.label = "trial",
+       .threads = config.threads,
+       .grain = config.batchSize,
+       .onFailure = config.onTrialFailure,
+       .cancel = util::currentCancellation()},
+      [&](std::size_t trial) {
+        runTrial(config, trial, outcomes[trial],
+                 config.recordCellHealth ? &disturbed[trial * cells] : nullptr);
+      },
+      [&](std::size_t trial, PointOutcome outcome) {
+        TrialOutcome& out = outcomes[trial];
+        if (!outcome.ok()) {
+          // A half-run trial must not leak partial results or disturb marks.
+          out = TrialOutcome{};
+          if (config.recordCellHealth) {
+            std::fill_n(&disturbed[trial * cells], cells, std::uint8_t{0});
           }
         }
-      },
-      config.threads);
+        static_cast<PointOutcome&>(out) = std::move(outcome);
+        if (config.onTrialComplete) config.onTrialComplete(trial, ++completed);
+      });
 
   // Serial reduction in trial order: everything below is scheduling-free.
   CampaignResult result;
@@ -144,7 +114,13 @@ CampaignResult runCampaign(const CampaignConfig& config) {
   result.confidence = config.confidence;
   result.outcomes = std::move(outcomes);
   for (const TrialOutcome& out : result.outcomes) {
-    if (out.status == TrialOutcome::Status::Failed) {
+    // A cancelled trial means a cancelled campaign: no partial statistics.
+    if (out.status == PointOutcome::Status::Cancelled ||
+        out.status == PointOutcome::Status::TimedOut) {
+      throw util::CancelledError(out.error,
+                                 out.status == PointOutcome::Status::TimedOut);
+    }
+    if (out.status == PointOutcome::Status::Failed) {
       ++result.trialsFailed;
       continue;
     }
@@ -181,7 +157,7 @@ CampaignResult runCampaign(const CampaignConfig& config) {
     result.cellDisturbRate.assign(cells, 0.0);
     if (result.trialsOk > 0) {
       for (std::size_t trial = 0; trial < trials; ++trial) {
-        if (result.outcomes[trial].status != TrialOutcome::Status::Ok) continue;
+        if (result.outcomes[trial].status != PointOutcome::Status::Ok) continue;
         for (std::size_t c = 0; c < cells; ++c)
           result.cellDisturbRate[c] += disturbed[trial * cells + c];
       }

@@ -1,9 +1,8 @@
 #pragma once
 /// \file campaign.hpp
 /// Statistical campaign layer: Monte-Carlo at scale over device variability.
-/// Where core/variability runs a handful of serial trials and reports point
-/// estimates, a campaign runs thousands of trials batched through the thread
-/// pool and reports *distributions*: flip rates with Wilson confidence
+/// A campaign runs thousands of perturbed centre attacks batched through the
+/// thread pool and reports *distributions*: flip rates with Wilson confidence
 /// intervals, pulses-to-flip quantiles with bootstrap intervals, and an
 /// optional CMS-style per-cell array-health matrix (disturb rate per cell
 /// over trials). A STAR-style blinding layer (BlindedAbStudy) compares two
@@ -23,16 +22,15 @@
 #include <vector>
 
 #include "core/study.hpp"
+#include "core/tasks.hpp"
 #include "util/stats.hpp"
 
 namespace nh::core {
 
-/// What to do when a trial throws (solver failure, injected fault).
-enum class TrialFailurePolicy {
-  Abort,  ///< Rethrow: the campaign fails (default).
-  Skip,   ///< Record the trial as Failed and keep going; statistics are
-          ///< computed over the OK trials only.
-};
+/// What to do when a trial throws (solver failure, injected fault): Abort
+/// (default) rethrows and the campaign fails; Skip records the trial as
+/// Failed and keeps going, and the statistics cover the OK trials only.
+using TrialFailurePolicy = PointFailurePolicy;
 
 struct CampaignConfig {
   StudyConfig base;
@@ -63,19 +61,18 @@ struct CampaignConfig {
   bool recordCellHealth = false;
   TrialFailurePolicy onTrialFailure = TrialFailurePolicy::Abort;
   /// Observer called after each trial settles, with the trial index and the
-  /// number of trials completed so far (monotonic, serialized). Runs on
-  /// worker threads; must be thread-safe. Intended for progress display and
-  /// for tests that cancel mid-campaign.
+  /// number of trials completed so far. Calls are serialised under the task
+  /// runner's settle lock (never concurrent, `completed` = 1, 2, ... in
+  /// call order) but run on worker threads. Intended for progress display
+  /// and for tests that cancel mid-campaign.
   std::function<void(std::size_t trial, std::size_t completed)> onTrialComplete;
 };
 
-/// Per-trial outcome, in trial order.
-struct TrialOutcome {
-  enum class Status { Ok, Failed };
-  Status status = Status::Ok;
+/// Per-trial outcome, in trial order: the runner's execution record (Ok, or
+/// Failed with the error text under Skip) plus the attack's result.
+struct TrialOutcome : PointOutcome {
   bool flipped = false;
   std::size_t pulses = 0;  ///< Pulses-to-flip; 0 when not flipped.
-  std::string error;       ///< Failure reason (Skip policy only).
   bool operator==(const TrialOutcome&) const = default;
 };
 
@@ -117,12 +114,14 @@ struct CampaignResult {
 };
 
 /// Run the campaign. Deterministic for (config); bit-identical for any
-/// threads/batchSize. Honors the ambient cancellation token between trials
-/// and wraps each trial in faultinject::Scope("trial:<i>") so NH_FAULT
-/// policies can target a single trial. Per-trial perturbed studies are
-/// constructed fresh (never through the process-wide study cache: thousands
-/// of unique perturbed configs would evict the warm entries the experiment
-/// catalog shares).
+/// threads/batchSize. Trials run through core/tasks' runIndexedTasks: each
+/// under faultinject::Scope("trial:<i>") so NH_FAULT policies can target a
+/// single trial, and under the caller's ambient cancellation token -- a
+/// cancelled campaign throws util::CancelledError. A non-finite or negative
+/// sigma is rejected up front with std::invalid_argument. Per-trial
+/// perturbed studies are constructed fresh (never through the process-wide
+/// study cache: thousands of unique perturbed configs would evict the warm
+/// entries the experiment catalog shares).
 CampaignResult runCampaign(const CampaignConfig& config);
 
 /// STAR-style blind A/B comparison (arXiv:1911.00596): two labelled

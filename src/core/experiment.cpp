@@ -13,8 +13,6 @@
 #include <stdexcept>
 
 #include "util/annotations.hpp"
-#include "util/cancellation.hpp"
-#include "util/faultinject.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/threadpool.hpp"
@@ -92,18 +90,6 @@ const char* shapeName(ColumnSpec::Shape shape) {
     case ColumnSpec::Shape::Scalar: break;
   }
   return "scalar";
-}
-
-const char* pointStatusName(PointOutcome::Status status) {
-  switch (status) {
-    case PointOutcome::Status::Pending: return "pending";
-    case PointOutcome::Status::Failed: return "failed";
-    case PointOutcome::Status::Cancelled: return "cancelled";
-    case PointOutcome::Status::TimedOut: return "timed-out";
-    case PointOutcome::Status::Resumed: return "resumed";
-    case PointOutcome::Status::Ok: break;
-  }
-  return "ok";
 }
 
 namespace colfmt {
@@ -598,47 +584,36 @@ ExperimentResult runExperiment(const ExperimentSpec& spec,
   // construction is internally serial and cache hits are immutable, so the
   // parallel build stays bit-identical for every thread count.
   //
-  // Fault tolerance: a construction failure is captured per unique config.
-  // Under PointFailurePolicy::Abort it rethrows (legacy behaviour); under
-  // Skip every point sharing the config inherits the outcome as a flagged
-  // row. Cancellation is recorded, never rethrown -- a cancelled run
-  // returns its partial result.
+  // Fault tolerance: the builds run through the indexed-task runner under
+  // the "study:<u>" label and the run's policy, without retries. Under
+  // Abort a construction failure rethrows; under Skip every point sharing
+  // the config inherits the outcome as a flagged row. Cancellation is
+  // recorded, never rethrown -- a cancelled run returns its partial result.
   std::vector<std::shared_ptr<const AttackStudy>> studies;
   std::vector<PointOutcome> studyOutcomes(uniqueConfigs.size());
   std::size_t studiesReused = 0;
   if (spec.buildStudies) {
     studies.resize(uniqueConfigs.size());
+    std::vector<std::size_t> misses;
     for (std::size_t u = 0; u < uniqueConfigs.size(); ++u) {
       studies[u] = studyCache().find(*uniqueConfigs[u]);
-      if (studies[u]) ++studiesReused;
+      if (studies[u]) {
+        ++studiesReused;
+        studyOutcomes[u].status = PointOutcome::Status::Ok;
+      } else {
+        misses.push_back(u);
+      }
     }
-    nh::util::parallelFor(
-        uniqueConfigs.size(),
-        [&](std::size_t u) {
-          if (studies[u]) return;
-          const nh::util::CancellationScope scope(options.cancel);
-          try {
-            nh::util::checkCancellation("study construction");
-            studies[u] = getOrBuildStudy(*uniqueConfigs[u]);
-          } catch (const nh::util::CancelledError& e) {
-            studyOutcomes[u].status = e.deadlineExpired()
-                                          ? PointOutcome::Status::TimedOut
-                                          : PointOutcome::Status::Cancelled;
-            studyOutcomes[u].error = e.what();
-          } catch (const std::exception& e) {
-            if (options.onPointFailure == PointFailurePolicy::Abort) throw;
-            studyOutcomes[u].status = PointOutcome::Status::Failed;
-            studyOutcomes[u].error =
-                std::string("study construction: ") + e.what();
-          }
-        },
-        options.threads);
-    // Outcomes default to Pending; a resolved study (cache hit or fresh
-    // construction) marks its config Ok so the per-point doom check below
-    // only fires for real construction failures.
-    for (std::size_t u = 0; u < studies.size(); ++u) {
-      if (studies[u]) studyOutcomes[u].status = PointOutcome::Status::Ok;
-    }
+    runIndexedTasks(
+        misses,
+        {.label = "study",
+         .threads = options.threads,
+         .onFailure = options.onPointFailure,
+         .cancel = options.cancel},
+        [&](std::size_t u) { studies[u] = getOrBuildStudy(*uniqueConfigs[u]); },
+        [&](std::size_t u, PointOutcome outcome) {
+          studyOutcomes[u] = std::move(outcome);
+        });
   }
 
   ExperimentResult result;
@@ -749,73 +724,41 @@ ExperimentResult runExperiment(const ExperimentSpec& spec,
     return row;
   };
 
+  // Resumed points never run. Points on a config whose study did not build
+  // settle with the study's outcome, also without running.
+  const std::vector<ResultValue> placeholders(spec.columns.size(),
+                                              ResultValue::str("-"));
+  std::vector<std::size_t> pending;
+  for (std::size_t i = 0; i < pointCount; ++i) {
+    if (result.outcomes[i].status == PointOutcome::Status::Resumed) continue;
+    if (spec.buildStudies && !studyOutcomes[studyIndex[i]].ok()) {
+      PointOutcome outcome = studyOutcomes[studyIndex[i]];
+      outcome.error = "study construction: " + outcome.error;
+      outcome.attempts = 0;
+      progress.settle(i, std::move(outcome), placeholders);
+      continue;
+    }
+    pending.push_back(i);
+  }
+
   // threads == 1 runs in index order on the calling thread -- the mode
-  // wall-clock-measuring specs force so points never time each other.
-  //
-  // The cancellation scope is installed INSIDE each point body, never around
-  // the parallelFor call: the loop itself must keep claiming slots so every
-  // pending point settles with a recorded Cancelled outcome instead of the
-  // loop aborting mid-grid.
-  const std::size_t pointThreads = spec.serialPoints ? 1 : options.threads;
-  nh::util::parallelFor(
-      pointCount,
-      [&](std::size_t i) {
-        if (result.outcomes[i].status == PointOutcome::Status::Resumed) return;
-
-        PointOutcome outcome;
-        // A config whose study failed to build dooms every point on it.
-        if (spec.buildStudies && !studyOutcomes[studyIndex[i]].ok()) {
-          outcome = studyOutcomes[studyIndex[i]];
-          outcome.attempts = 0;
-          progress.settle(i, std::move(outcome),
-                          std::vector<ResultValue>(spec.columns.size(),
-                                                   ResultValue::str("-")));
-          return;
-        }
-
-        std::vector<ResultValue> row;
-        std::exception_ptr lastError;
-        const std::size_t maxAttempts = 1 + options.pointRetries;
-        for (std::size_t attempt = 1; attempt <= maxAttempts; ++attempt) {
-          outcome.attempts = attempt;
-          try {
-            const nh::util::CancellationScope scope(options.cancel);
-            // Label solver fault-injection sites with the serial point
-            // index, so a test can fail exactly one grid point
-            // (NH_FAULT=linsolve.dense_lu:1@point:2) regardless of thread
-            // interleaving.
-            const nh::util::faultinject::Scope faultScope(
-                "point:" + std::to_string(i));
-            nh::util::checkCancellation("experiment point");
-            row = executePoint(i);
-            outcome.status = PointOutcome::Status::Ok;
-            outcome.error.clear();
-            break;
-          } catch (const nh::util::CancelledError& e) {
-            outcome.status = e.deadlineExpired()
-                                 ? PointOutcome::Status::TimedOut
-                                 : PointOutcome::Status::Cancelled;
-            outcome.error = e.what();
-            break;  // cancellation is never retried
-          } catch (const std::exception& e) {
-            outcome.status = PointOutcome::Status::Failed;
-            outcome.error = e.what();
-            lastError = std::current_exception();
-          }
-        }
-
-        if (outcome.status == PointOutcome::Status::Failed &&
-            options.onPointFailure == PointFailurePolicy::Abort) {
-          // Legacy behaviour: the original exception unwinds the loop (the
-          // pool barrier tags it with the failing index).
-          std::rethrow_exception(lastError);
-        }
-        if (outcome.status != PointOutcome::Status::Ok) {
-          row.assign(spec.columns.size(), ResultValue::str("-"));
-        }
+  // wall-clock-measuring specs force so points never time each other. A
+  // point's validated row waits in its own slot until its settle call moves
+  // it into the result under the progress mutex.
+  std::vector<std::vector<ResultValue>> finished(pointCount);
+  runIndexedTasks(
+      pending,
+      {.label = "point",
+       .threads = spec.serialPoints ? 1 : options.threads,
+       .retries = options.pointRetries,
+       .onFailure = options.onPointFailure,
+       .cancel = options.cancel},
+      [&](std::size_t i) { finished[i] = executePoint(i); },
+      [&](std::size_t i, PointOutcome outcome) {
+        std::vector<ResultValue> row =
+            outcome.ok() ? std::move(finished[i]) : placeholders;
         progress.settle(i, std::move(outcome), std::move(row));
-      },
-      pointThreads);
+      });
 
   // Tally the aggregate counts the JSON document records.
   for (const auto& outcome : result.outcomes) {

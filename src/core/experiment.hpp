@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "core/study.hpp"
+#include "core/tasks.hpp"
 #include "util/cancellation.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
@@ -234,30 +235,6 @@ struct ExperimentSpec {
   /// Optional pivoted grid rendering (see PivotSpec).
   PivotSpec pivot;
 };
-
-/// What happens to the run when one grid point throws.
-enum class PointFailurePolicy {
-  Abort,  ///< Rethrow at the barrier; the whole run fails (legacy behaviour).
-  Skip,   ///< Record the failure, fill the row with "-" placeholders, go on.
-};
-
-/// Per-point execution record: how the point's run function ended, after how
-/// many attempts, and (for non-Ok outcomes) the failure message. Rows whose
-/// outcome is not Ok carry "-" text placeholders in every cell. Pending is
-/// the in-flight default -- a slot whose point has not settled yet; the
-/// checkpoint writer must never serialize (or even read) such a row, which
-/// is why the default is NOT Ok.
-struct PointOutcome {
-  enum class Status { Pending, Ok, Failed, Cancelled, TimedOut, Resumed };
-  Status status = Status::Pending;
-  std::string error;         ///< Failure message; empty for Ok/Resumed.
-  std::size_t attempts = 1;  ///< Executions of the run function (1 + retries).
-
-  bool ok() const { return status == Status::Ok || status == Status::Resumed; }
-  bool operator==(const PointOutcome&) const = default;
-};
-
-const char* pointStatusName(PointOutcome::Status status);
 
 /// Execution controls.
 struct RunOptions {

@@ -79,21 +79,26 @@ AttackResult AttackStudy::attack(const AttackConfig& attackConfig) const {
 AttackResult AttackStudy::attackCenter(const HammerPulse& pulse,
                                        std::size_t maxPulses,
                                        std::size_t traceSamples) const {
-  AttackConfig cfg;
-  cfg.aggressors = {{config_.rows / 2, config_.cols / 2}};
-  cfg.pulse = pulse;
-  cfg.maxPulses = maxPulses;
+  AttackConfig cfg = centerAttackConfig(pulse, maxPulses);
   cfg.traceSamples = traceSamples;
-  // Monitor the aggressor's word-line neighbour explicitly first (strongest
-  // coupling; this is the cell Fig. 1 calls M2) plus all remaining HRS cells.
-  cfg.victims.clear();
+  return attack(cfg);
+}
+
+AttackConfig AttackStudy::centerAttackConfig(const HammerPulse& pulse,
+                                             std::size_t maxPulses) const {
   const std::size_t cr = config_.rows / 2;
   const std::size_t cc = config_.cols / 2;
+  AttackConfig cfg;
+  cfg.aggressors = {{cr, cc}};
+  cfg.pulse = pulse;
+  cfg.maxPulses = maxPulses;
+  // Monitor the aggressor's word-line neighbour explicitly first (strongest
+  // coupling; this is the cell Fig. 1 calls M2) plus all remaining HRS cells.
   if (cc > 0) cfg.victims.push_back({cr, cc - 1});
   if (cc + 1 < config_.cols) cfg.victims.push_back({cr, cc + 1});
   if (cr > 0) cfg.victims.push_back({cr - 1, cc});
   if (cr + 1 < config_.rows) cfg.victims.push_back({cr + 1, cc});
-  return attack(cfg);
+  return cfg;
 }
 
 AttackResult AttackStudy::attackPattern(AttackPattern pattern,

@@ -66,6 +66,12 @@ class AttackStudy {
   AttackResult attackCenter(const HammerPulse& pulse, std::size_t maxPulses,
                             std::size_t traceSamples = 0) const;
 
+  /// attackCenter's configuration (centre aggressor, its four neighbours as
+  /// the named victims, V/2 bias). Callers that need another scheme (the
+  /// campaign's V/3 arm) start from this.
+  AttackConfig centerAttackConfig(const HammerPulse& pulse,
+                                  std::size_t maxPulses) const;
+
   /// Hammer \p pattern aggressors around the array-centre victim.
   AttackResult attackPattern(AttackPattern pattern, const HammerPulse& pulse,
                              std::size_t maxPulses) const;

@@ -64,7 +64,8 @@ Params Params::paperDefaults() {
 }
 
 Params Params::withVariability(nh::util::Rng& rng, double sigma) const {
-  if (sigma < 0.0) throw std::invalid_argument("withVariability: sigma must be >= 0");
+  if (!(std::isfinite(sigma) && sigma >= 0.0))
+    throw std::invalid_argument("withVariability: sigma must be finite and >= 0");
   Params p = *this;
   const auto lognormal = [&](double value) {
     return value * std::exp(rng.normal(0.0, sigma));

@@ -127,6 +127,7 @@ struct Params {
   /// Device-to-device variability: perturbs filament radius, disc length and
   /// the N window log-normally with relative sigma \p sigma. Deterministic
   /// given \p rng. (Extension beyond the paper's deterministic runs.)
+  /// Throws std::invalid_argument unless sigma is finite and >= 0.
   Params withVariability(nh::util::Rng& rng, double sigma) const;
 };
 

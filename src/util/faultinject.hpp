@@ -13,10 +13,12 @@
 /// fallback path downstream of a real failure can be exercised
 /// deterministically.
 ///
-/// Scopes pin a policy to one region of the run. The experiment engine tags
-/// each grid point with `Scope("point:<index>")`, so `arm("linsolve.dense_lu",
-/// 1, "point:2")` fails the first dense factorization *inside point 2 only*,
-/// regardless of thread count or call interleaving.
+/// Scopes pin a policy to one region of the run. The indexed-task runner
+/// (core/tasks) tags each index with `Scope("<label>:<index>")` -- grid
+/// points `point:<i>`, campaign trials `trial:<i>`, study builds `study:<u>`
+/// -- so `arm("linsolve.dense_lu", 1, "point:2")` fails the first dense
+/// factorization *inside point 2 only*, regardless of thread count or call
+/// interleaving.
 ///
 /// When nothing is armed (the production case), `shouldFire` is one relaxed
 /// atomic load.
@@ -63,8 +65,7 @@ std::size_t callCount(const std::string& site);
 bool fired(const std::string& site);
 
 /// RAII ambient scope label (thread-local, restores the previous label on
-/// destruction). The experiment engine wraps each grid point in
-/// Scope("point:<index>").
+/// destruction). The indexed-task runner wraps each index in one.
 class Scope {
  public:
   explicit Scope(std::string label);

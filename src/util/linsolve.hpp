@@ -2,8 +2,8 @@
 /// \file linsolve.hpp
 /// Linear solvers: dense LU with partial pivoting for the small MNA systems,
 /// and preconditioned conjugate gradient (Jacobi or zero-fill incomplete
-/// Cholesky) / BiCGSTAB for the large symmetric-positive-definite systems
-/// produced by the finite-volume PDE discretisations.
+/// Cholesky) for the large symmetric-positive-definite systems produced by
+/// the finite-volume PDE discretisations.
 
 #include <cstddef>
 #include <functional>
@@ -82,9 +82,6 @@ class LuFactorization {
 
   /// Solve A x = b with b overwritten by the solution; no allocation.
   void solveInPlace(Vector& b) const;
-
-  /// abs(product of U diagonal) — cheap singularity diagnostic.
-  double absDeterminant() const;
 
  private:
   Matrix lu_;
@@ -331,11 +328,6 @@ IterativeResult solveConjugateGradientOperator(
     std::size_t n, const std::function<void(const Vector&, Vector&)>& applyA,
     const Vector& invDiag, const Vector& b, Vector& x, double relTol = 1e-8,
     std::size_t maxIter = 10000, CgWorkspace* workspace = nullptr);
-
-/// Jacobi-preconditioned BiCGSTAB for general (possibly nonsymmetric)
-/// systems; used as a fallback/validation path.
-IterativeResult solveBiCgStab(const SparseMatrix& a, const Vector& b, Vector& x,
-                              double relTol = 1e-8, std::size_t maxIter = 10000);
 
 /// Thomas algorithm for tridiagonal systems (used by 1-D analytic
 /// verification problems in the FEM tests).

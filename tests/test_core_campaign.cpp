@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <filesystem>
+#include <limits>
+#include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -76,6 +82,35 @@ TEST(Campaign, HealthMatrixBitIdenticalAcrossThreadsAndBatches) {
   ASSERT_EQ(serial.cellDisturbRate.size(), 9u);
 }
 
+TEST(Campaign, TrialObserverIsSerialisedAndMonotonic) {
+  // Four workers settle one trial each at a time; the observer dawdles so
+  // that any call it does not get to itself shows up as an overlap.
+  constexpr std::size_t kTrials = 40;
+  CampaignConfig cfg = quickCampaign(kTrials);
+  cfg.threads = 4;
+  cfg.batchSize = 1;
+  std::atomic<int> inside{0};
+  std::atomic<bool> reentered{false};
+  std::mutex seenMutex;  // the test's own guard: a broken runner must not crash it
+  std::vector<std::size_t> seen;
+  cfg.onTrialComplete = [&](std::size_t, std::size_t completed) {
+    if (inside.fetch_add(1) != 0) reentered = true;
+    {
+      const std::lock_guard<std::mutex> lock(seenMutex);
+      seen.push_back(completed);
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    inside.fetch_sub(1);
+  };
+  const CampaignResult r = runCampaign(cfg);
+  EXPECT_EQ(r.trialsOk, kTrials);
+  EXPECT_FALSE(reentered.load()) << "onTrialComplete ran concurrently";
+  std::vector<std::size_t> expected(kTrials);
+  std::iota(expected.begin(), expected.end(), std::size_t{1});
+  const std::lock_guard<std::mutex> lock(seenMutex);
+  EXPECT_EQ(seen, expected);
+}
+
 // ---- statistics -----------------------------------------------------------
 
 TEST(Campaign, ConfidenceIntervalsBracketTheEstimates) {
@@ -134,6 +169,15 @@ TEST(Campaign, Validation) {
   cfg = quickCampaign();
   cfg.confidence = 1.0;
   EXPECT_THROW(runCampaign(cfg), std::invalid_argument);
+  // A bad sigma is a configuration error, not a campaign of failed trials:
+  // it must be rejected before any trial runs, under Skip as well.
+  for (const double sigma : {-0.1, std::nan(""),
+                             std::numeric_limits<double>::infinity()}) {
+    cfg = quickCampaign();
+    cfg.onTrialFailure = TrialFailurePolicy::Skip;
+    cfg.sigma = sigma;
+    EXPECT_THROW(runCampaign(cfg), std::invalid_argument) << "sigma " << sigma;
+  }
 }
 
 // ---- physics of the spread ----------------------------------------------

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "jart/device.hpp"
 #include "jart/model.hpp"
@@ -50,6 +51,9 @@ TEST(Params, VariabilityStaysValidAndDeterministic) {
   EXPECT_NE(a.rFilament, base.rFilament);
   EXPECT_NO_THROW(a.validate());
   EXPECT_THROW(base.withVariability(rngA, -0.1), std::invalid_argument);
+  EXPECT_THROW(base.withVariability(rngA, std::nan("")), std::invalid_argument);
+  EXPECT_THROW(base.withVariability(rngA, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
 }
 
 TEST(Conduction, ZeroVoltageZeroCurrent) {

@@ -89,25 +89,6 @@ TEST_P(SolverSizes, ConjugateGradientMatchesLu) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], xRef[i], 1e-7);
 }
 
-TEST_P(SolverSizes, BiCgStabMatchesLu) {
-  Rng rng(1234 + GetParam());
-  const std::size_t n = GetParam();
-  // Nonsymmetric diagonally dominant system.
-  Matrix a(n, n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < n; ++c) a(r, c) = rng.uniform(-1.0, 1.0);
-    a(r, r) += static_cast<double>(n) + 1.0;
-  }
-  Vector b(n);
-  for (auto& v : b) v = rng.uniform(-1.0, 1.0);
-  const Vector xRef = solveDense(a, b);
-
-  Vector x;
-  const auto result = solveBiCgStab(toSparse(a), b, x, 1e-12, 10000);
-  EXPECT_TRUE(result.converged);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], xRef[i], 1e-6);
-}
-
 INSTANTIATE_TEST_SUITE_P(Sizes, SolverSizes,
                          ::testing::Values<std::size_t>(2, 5, 10, 25, 50));
 
