@@ -201,7 +201,9 @@ nh::core::ExperimentResult runOne(const std::string& name,
     options.cancel = deadline.token();
     std::printf("deadline: %.3g s (completed rows checkpoint to %s)\n",
                 cli.deadlineSeconds,
-                (options.checkpointDir / (name + ".json")).string().c_str());
+                nh::core::checkpointPath(options.checkpointDir, name)
+                    .string()
+                    .c_str());
   }
 
   const nh::core::ExperimentResult result =
@@ -224,13 +226,19 @@ nh::core::ExperimentResult runOne(const std::string& name,
   }
   if (!result.complete()) {
     const std::size_t total = result.rows.size();
+    // runExperiment writes the final checkpoint only when a point finished,
+    // so report the file that is actually there.
+    const char* checkpointNote = "";
+    if (!options.checkpointDir.empty()) {
+      checkpointNote = std::filesystem::exists(nh::core::checkpointPath(
+                           options.checkpointDir, name))
+                           ? "; checkpoint kept, rerun with --resume"
+                           : "; no checkpoint written";
+    }
     std::printf("nh_sweep: INCOMPLETE -- %zu/%zu point(s) done (%zu failed, "
                 "%zu cancelled/timed-out)%s\n",
                 result.pointsOk, total, result.pointsFailed,
-                result.pointsCancelled,
-                options.checkpointDir.empty()
-                    ? ""
-                    : "; checkpoint kept, rerun with --resume");
+                result.pointsCancelled, checkpointNote);
   }
   return result;
 }

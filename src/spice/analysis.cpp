@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "util/cancellation.hpp"
 #include "util/faultinject.hpp"
 #include "util/linsolve.hpp"
-#include "util/log.hpp"
-#include "util/sparse.hpp"
 
 namespace nh::spice {
 
@@ -36,23 +33,11 @@ class NewtonEngine {
     SolveResult result;
     result.x = initialGuess.size() == n ? initialGuess : Vector(n, 0.0);
 
-    // Storage-mode selection. Crossbar netlists grow past the point where a
-    // dense n x n Jacobian is even allocatable (1024x1024 arrays -> n ~ 10^6),
-    // so large systems stamp triplets and factor sparsely; small systems keep
-    // the seed's dense path bit-for-bit.
-    const bool wantSparse = n >= options.sparseMinUnknowns;
-    if (n != sysN_ || wantSparse != useSparse_) {
+    if (n != sysN_) {
       sysN_ = n;
-      useSparse_ = wantSparse;
       rhs_.assign(n, 0.0);
       luValid_ = false;
-      if (useSparse_) {
-        jacobian_.resize(0, 0, 0.0);  // release the dense storage
-        triplets_ = nh::util::TripletBuilder(n, n);
-        patternValid_ = false;
-      } else {
-        jacobian_.resize(n, n, 0.0);
-      }
+      jacobian_.resize(n, n, 0.0);
     }
     if (!circuit.hasNonlinear()) {
       const bool frozenLuUsable = options.reuseFactorization && luValid_ &&
@@ -70,21 +55,18 @@ class NewtonEngine {
                           SolveResult result, std::size_t nodeUnknowns) {
     const std::size_t n = sysN_;
     std::fill(rhs_.begin(), rhs_.end(), 0.0);
-    if (!reuseLu) clearMatrixTarget();
+    if (!reuseLu) jacobian_.fill(0.0);
     // With a frozen LU the conductance stamps are no-ops (stampMatrix
     // false): only the rhs is rebuilt, and the previous factorisation is
     // solved against it -- bit-identical to re-stamping and re-factoring
     // the identical matrix.
-    StampContext ctx{useSparse_ ? nullptr : &jacobian_,
-                     useSparse_ ? &triplets_ : nullptr,
-                     rhs_,      result.x, xPrev,
-                     time,      dt,       transient, /*stampMatrix=*/!reuseLu};
+    StampContext ctx{jacobian_, rhs_,      result.x,  xPrev,
+                     time,      dt,        transient, /*stampMatrix=*/!reuseLu};
     for (const auto& e : circuit.elements()) e->stamp(ctx);
     if (!reuseLu) {
       // gmin from every node to ground keeps otherwise-floating nodes defined.
       stampGmin(circuit.gmin(), nodeUnknowns);
-      if (useSparse_) assembleSparse();
-      if (!factorSystem()) {
+      if (!lu_.refactor(jacobian_)) {
         luValid_ = false;
         result.converged = false;
         return result;
@@ -96,7 +78,7 @@ class NewtonEngine {
     // solveInPlace into the persistent scratch: the same substitution
     // sequence as solve(), without the per-step allocation.
     xNew_.assign(rhs_.begin(), rhs_.end());
-    solveSystem(xNew_);
+    lu_.solveInPlace(xNew_);
     double maxUpdate = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       const double delta = xNew_[i] - result.x[i];
@@ -124,27 +106,24 @@ class NewtonEngine {
 
     for (std::size_t iter = 0; iter < options.maxIterations; ++iter) {
       nh::util::checkCancellation("newton iteration");
-      clearMatrixTarget();
+      jacobian_.fill(0.0);
       std::fill(rhs_.begin(), rhs_.end(), 0.0);
 
-      StampContext ctx{useSparse_ ? nullptr : &jacobian_,
-                       useSparse_ ? &triplets_ : nullptr,
-                       rhs_, result.x, xPrev, time, dt, transient};
+      StampContext ctx{jacobian_, rhs_, result.x, xPrev, time, dt, transient};
       for (const auto& e : circuit.elements()) e->stamp(ctx);
       // gmin from every node to ground keeps otherwise-floating nodes defined.
       stampGmin(circuit.gmin(), nodeUnknowns);
-      if (useSparse_) assembleSparse();
 
       // Factor every iteration and solve the companion system for the next
       // iterate directly. The persistent lu_/xNew_ avoid per-iteration
       // allocations; refactor()+solveInPlace() run the same elimination and
       // substitution sequences as a one-shot factorisation.
-      if (!factorSystem()) {
+      if (!lu_.refactor(jacobian_)) {
         result.converged = false;
         return result;
       }
       xNew_.assign(rhs_.begin(), rhs_.end());
-      solveSystem(xNew_);
+      lu_.solveInPlace(xNew_);
       // Voltage limiting: clamp node-voltage updates to keep the
       // exponential devices inside a trust region (standard SPICE
       // practice).
@@ -181,66 +160,16 @@ class NewtonEngine {
     return result;
   }
 
-  /// Zero the active matrix target before a (re-)stamp.
-  void clearMatrixTarget() {
-    if (useSparse_) {
-      triplets_.clear();
-    } else {
-      jacobian_.fill(0.0);
-    }
-  }
-
-  /// gmin from every node to ground, appended after the element stamps so
-  /// the triplet sequence stays fixed per netlist (pattern-refill contract).
+  /// gmin from every node to ground, added after the element stamps.
   void stampGmin(double gmin, std::size_t nodeUnknowns) {
-    if (useSparse_) {
-      for (std::size_t i = 0; i < nodeUnknowns; ++i) triplets_.add(i, i, gmin);
-    } else {
-      for (std::size_t i = 0; i < nodeUnknowns; ++i) jacobian_(i, i) += gmin;
-    }
-  }
-
-  /// Rebuild the CSR from the freshly-stamped triplets. A fixed netlist
-  /// issues the same stamp sequence every pass, so after the first symbolic
-  /// analysis this is an O(nnz) value refill; a changed entry count (edited
-  /// netlist between solves) re-runs the symbolic phase.
-  void assembleSparse() {
-    if (!patternValid_ || pattern_.entryCount() != triplets_.entryCount()) {
-      pattern_ = nh::util::SparsityPattern::fromTriplets(triplets_);
-      patternValid_ = true;
-    }
-    pattern_.assemble(triplets_, aCsr_);
-  }
-
-  /// Factor the freshly-assembled system with the active backend.
-  bool factorSystem() {
-    return useSparse_ ? sparseLu_.refactor(aCsr_) : lu_.refactor(jacobian_);
-  }
-
-  /// Substitute against the last successful factorisation.
-  void solveSystem(Vector& v) {
-    if (useSparse_) {
-      sparseLu_.solveInPlace(v);
-    } else {
-      lu_.solveInPlace(v);
-    }
+    for (std::size_t i = 0; i < nodeUnknowns; ++i) jacobian_(i, i) += gmin;
   }
 
   Matrix jacobian_;
   Vector rhs_;
   Vector xNew_;
   nh::util::LuFactorization lu_;
-  // Sparse backend (n >= NewtonOptions::sparseMinUnknowns): elements stamp a
-  // triplet stream, a cached SparsityPattern refills the CSR without
-  // allocation, and the Gilbert-Peierls SparseLu replaces the dense
-  // factorisation. The Newton logic above is shared between backends.
-  bool useSparse_ = false;
   std::size_t sysN_ = 0;
-  nh::util::TripletBuilder triplets_{0, 0};
-  nh::util::SparsityPattern pattern_;
-  bool patternValid_ = false;
-  nh::util::SparseMatrix aCsr_;
-  nh::util::SparseLu sparseLu_;
   bool luValid_ = false;
   double luDt_ = 0.0;
   bool luTransient_ = false;

@@ -25,15 +25,6 @@ struct NewtonOptions {
   /// either way. Set false to re-stamp and re-factor linear circuits every
   /// step too (the reference in the equivalence tests).
   bool reuseFactorization = true;
-  /// At or above this unknown count the engine stamps into a triplet stream
-  /// (cached SparsityPattern, CSR assembly) and factors with the sparse
-  /// Gilbert-Peierls LU instead of allocating and eliminating a dense n x n
-  /// Jacobian. Crossbar MNA matrices have O(n) nonzeros, so this turns the
-  /// O(n^3)/O(n^2) dense wall into near-linear work; the Newton iteration
-  /// and the frozen-factorisation semantics are unchanged.
-  /// Set to SIZE_MAX to force the dense seed path at any size, 0 to force
-  /// sparse everywhere (equivalence tests exercise both).
-  std::size_t sparseMinUnknowns = 512;
 };
 
 /// Result of a Newton solve.

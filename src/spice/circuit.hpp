@@ -13,10 +13,6 @@
 
 #include "util/matrix.hpp"
 
-namespace nh::util {
-class TripletBuilder;  // util/sparse.hpp
-}
-
 namespace nh::spice {
 
 /// Opaque node identifier (0 = ground).
@@ -24,16 +20,9 @@ using NodeId = std::size_t;
 
 /// Everything an element needs to stamp its Newton-linearised companion
 /// model into the MNA system G*x = rhs at the candidate solution \p x.
-/// Exactly one of the two matrix targets is set: \p jacobian for the dense
-/// path (small netlists), \p triplets for the sparse path (large netlists,
-/// where the analyses assemble a CSR through a cached SparsityPattern and
-/// factor it with SparseLu). Elements only stamp through the methods below,
-/// so they are target-agnostic; because every element issues the same stamp
-/// sequence each rebuild, the triplet stream satisfies the
-/// SparsityPattern::assemble refill contract.
+/// Elements only stamp through the methods below.
 struct StampContext {
-  nh::util::Matrix* jacobian = nullptr;        ///< Dense target (or null).
-  nh::util::TripletBuilder* triplets = nullptr;///< Sparse target (or null).
+  nh::util::Matrix& jacobian;   ///< Dense MNA matrix G.
   nh::util::Vector& rhs;        ///< Right-hand side.
   const nh::util::Vector& x;    ///< Candidate solution this Newton iteration.
   const nh::util::Vector& xPrev;///< Accepted solution of the previous timestep.

@@ -13,9 +13,6 @@
 namespace nh::util {
 
 namespace {
-/// Sentinel for SparseLu's row -> pivot-position map.
-constexpr std::size_t kUnpivoted = static_cast<std::size_t>(-1);
-
 std::string solverErrorMessage(const std::string& solve,
                                const std::string& detail,
                                std::size_t iterations, double residualNorm) {
@@ -734,293 +731,6 @@ Vector solveTridiagonal(const Vector& lower, const Vector& diag,
   x[n - 1] = d[n - 1];
   for (std::size_t ii = n - 1; ii-- > 0;) x[ii] = d[ii] - c[ii] * x[ii + 1];
   return x;
-}
-
-void SparseLu::computeOrdering(const SparseMatrix& a) {
-  const auto& rowPtr = a.rowPtr();
-  const auto& colIdx = a.colIdx();
-  const std::size_t n = a.rows();
-  perm_.resize(n);
-  iperm_.resize(n);
-  if (n == 0) return;
-
-  // Symmetrised adjacency: the pattern of A + A^T with the diagonal
-  // dropped. Entries present in both triangles appear twice; BFS dedups
-  // them via the seen marks and RCM only uses degrees as a heuristic, so
-  // the duplicates are harmless.
-  std::vector<std::size_t> adjPtr(n + 1, 0);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t k = rowPtr[r]; k < rowPtr[r + 1]; ++k) {
-      const std::size_t c = colIdx[k];
-      if (c == r) continue;
-      ++adjPtr[r + 1];
-      ++adjPtr[c + 1];
-    }
-  }
-  for (std::size_t v = 0; v < n; ++v) adjPtr[v + 1] += adjPtr[v];
-  std::vector<std::size_t> adj(adjPtr[n]);
-  std::vector<std::size_t> cursor(adjPtr.begin(), adjPtr.begin() + n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t k = rowPtr[r]; k < rowPtr[r + 1]; ++k) {
-      const std::size_t c = colIdx[k];
-      if (c == r) continue;
-      adj[cursor[r]++] = c;
-      adj[cursor[c]++] = r;
-    }
-  }
-  std::vector<std::size_t> deg(n);
-  for (std::size_t v = 0; v < n; ++v) deg[v] = adjPtr[v + 1] - adjPtr[v];
-  const auto byDegree = [&](std::size_t x, std::size_t y) {
-    return deg[x] < deg[y] || (deg[x] == deg[y] && x < y);
-  };
-
-  // Level-structure BFS with degree-sorted neighbour visits (Cuthill-McKee
-  // order). Fills `out` with the start's component and returns a
-  // minimum-degree vertex of the deepest level (for the pseudo-peripheral
-  // start refinement).
-  std::vector<std::size_t> seen(n, 0);
-  std::size_t stamp = 0;
-  const auto bfs = [&](std::size_t start, std::vector<std::size_t>& out) {
-    ++stamp;
-    out.clear();
-    out.push_back(start);
-    seen[start] = stamp;
-    std::size_t levelBegin = 0;
-    std::size_t levelEnd = 1;
-    while (true) {
-      for (std::size_t h = levelBegin; h < levelEnd; ++h) {
-        const std::size_t v = out[h];
-        const std::size_t first = out.size();
-        for (std::size_t p = adjPtr[v]; p < adjPtr[v + 1]; ++p) {
-          const std::size_t w = adj[p];
-          if (seen[w] == stamp) continue;
-          seen[w] = stamp;
-          out.push_back(w);
-        }
-        std::sort(out.begin() + first, out.end(), byDegree);
-      }
-      if (out.size() == levelEnd) break;  // deepest level reached
-      levelBegin = levelEnd;
-      levelEnd = out.size();
-    }
-    return *std::min_element(out.begin() + levelBegin, out.begin() + levelEnd,
-                             byDegree);
-  };
-
-  // Component starts: lowest-degree unvisited vertex, via a degree-sorted
-  // candidate sweep (amortised O(n log n) across all components).
-  std::vector<std::size_t> candidates(n);
-  for (std::size_t v = 0; v < n; ++v) candidates[v] = v;
-  std::sort(candidates.begin(), candidates.end(), byDegree);
-  std::vector<char> placed(n, 0);
-  std::vector<std::size_t> component;
-  std::size_t next = 0;
-  std::size_t written = 0;
-  while (written < n) {
-    while (placed[candidates[next]]) ++next;
-    std::size_t start = candidates[next];
-    // Two refinement sweeps toward a pseudo-peripheral vertex.
-    for (int sweep = 0; sweep < 2; ++sweep) {
-      const std::size_t far = bfs(start, component);
-      if (far == start) break;
-      start = far;
-    }
-    bfs(start, component);
-    for (const std::size_t v : component) {
-      placed[v] = 1;
-      perm_[written++] = v;
-    }
-  }
-  // Reverse Cuthill-McKee: reversing the CM order keeps the bandwidth and
-  // tends to reduce fill in the triangular factors.
-  std::reverse(perm_.begin(), perm_.end());
-  for (std::size_t v = 0; v < n; ++v) iperm_[perm_[v]] = v;
-}
-
-bool SparseLu::refactor(const SparseMatrix& a) {
-  if (a.rows() != a.cols()) {
-    throw std::invalid_argument("SparseLu: matrix must be square");
-  }
-  valid_ = false;
-  n_ = a.rows();
-  // Fault site: tests force the singular-factorisation exit to exercise the
-  // sparse backend's failure handling.
-  if (faultinject::shouldFire("linsolve.sparse_lu")) return false;
-  const auto& aRowPtr = a.rowPtr();
-  const auto& aColIdx = a.colIdx();
-  const auto& aValues = a.values();
-  const std::size_t nnz = aValues.size();
-
-  // Reuse the fill-reducing ordering across same-structure refactors (the
-  // Newton loop re-stamps values into an unchanged pattern).
-  if (structRowPtr_ != aRowPtr || structColIdx_ != aColIdx) {
-    computeOrdering(a);
-    structRowPtr_ = aRowPtr;
-    structColIdx_ = aColIdx;
-  }
-
-  // CSC copy of the symmetrically permuted matrix B = P A P^T (count /
-  // cumsum / scatter). Row indices within a column follow the input's row
-  // sweep, which keeps the DFS below deterministic.
-  cscPtr_.assign(n_ + 1, 0);
-  for (std::size_t k = 0; k < nnz; ++k) ++cscPtr_[iperm_[aColIdx[k]] + 1];
-  for (std::size_t c = 0; c < n_; ++c) cscPtr_[c + 1] += cscPtr_[c];
-  cscIdx_.resize(nnz);
-  cscVal_.resize(nnz);
-  pstack_.assign(cscPtr_.begin(), cscPtr_.begin() + n_);  // scatter cursors
-  for (std::size_t r = 0; r < n_; ++r) {
-    const std::size_t pr = iperm_[r];
-    for (std::size_t k = aRowPtr[r]; k < aRowPtr[r + 1]; ++k) {
-      const std::size_t slot = pstack_[iperm_[aColIdx[k]]]++;
-      cscIdx_[slot] = pr;
-      cscVal_[slot] = aValues[k];
-    }
-  }
-
-  // Left-looking Gilbert-Peierls with partial pivoting: for each column k,
-  // solve x = L \ A(:,k) (symbolic reach by DFS through the graph of L,
-  // then a sparse numeric forward substitution), pick the largest
-  // unpivoted |x| as the pivot, and append the column to L and U. All row
-  // indices stay in original (unpermuted) space until the final remap.
-  lPtr_.assign(n_ + 1, 0);
-  uPtr_.assign(n_ + 1, 0);
-  lIdx_.clear();
-  lVal_.clear();
-  uIdx_.clear();
-  uVal_.clear();
-  pinv_.assign(n_, kUnpivoted);
-  x_.assign(n_, 0.0);
-  found_.assign(n_, 0);
-  stack_.resize(n_);
-  pstack_.resize(n_);
-  xi_.resize(n_);
-
-  for (std::size_t k = 0; k < n_; ++k) {
-    lPtr_[k] = lVal_.size();
-    uPtr_[k] = uVal_.size();
-    const std::size_t mark = k + 1;
-
-    // Symbolic: the nonzero pattern of x is the set of nodes reachable from
-    // pattern(A(:,k)) through edges j -> rows(L(:, pinv[j])). xi_[top..n)
-    // ends up in an order where every node precedes the nodes it updates.
-    std::size_t top = n_;
-    for (std::size_t p = cscPtr_[k]; p < cscPtr_[k + 1]; ++p) {
-      const std::size_t root = cscIdx_[p];
-      if (found_[root] == mark) continue;
-      std::size_t head = 0;
-      stack_[0] = root;
-      while (true) {
-        const std::size_t i = stack_[head];
-        const std::size_t j = pinv_[i];
-        if (found_[i] != mark) {
-          found_[i] = mark;
-          pstack_[head] = j == kUnpivoted ? 0 : lPtr_[j] + 1;  // skip unit diag
-        }
-        bool descend = false;
-        if (j != kUnpivoted) {
-          for (std::size_t q = pstack_[head]; q < lPtr_[j + 1]; ++q) {
-            const std::size_t child = lIdx_[q];
-            if (found_[child] != mark) {
-              pstack_[head] = q + 1;
-              stack_[++head] = child;
-              descend = true;
-              break;
-            }
-          }
-        }
-        if (descend) continue;
-        xi_[--top] = i;
-        if (head == 0) break;
-        --head;
-      }
-    }
-
-    // Numeric: scatter A(:,k), then eliminate along the topological order.
-    for (std::size_t px = top; px < n_; ++px) x_[xi_[px]] = 0.0;
-    for (std::size_t p = cscPtr_[k]; p < cscPtr_[k + 1]; ++p) {
-      x_[cscIdx_[p]] = cscVal_[p];
-    }
-    for (std::size_t px = top; px < n_; ++px) {
-      const std::size_t i = xi_[px];
-      const std::size_t j = pinv_[i];
-      if (j == kUnpivoted) continue;
-      const double xj = x_[i];
-      if (xj == 0.0) continue;
-      for (std::size_t q = lPtr_[j] + 1; q < lPtr_[j + 1]; ++q) {
-        x_[lIdx_[q]] -= lVal_[q] * xj;
-      }
-    }
-
-    // Partial pivot over the unpivoted pattern rows; already-pivoted rows
-    // are finished U entries.
-    std::size_t ipiv = kUnpivoted;
-    double best = 0.0;
-    for (std::size_t px = top; px < n_; ++px) {
-      const std::size_t i = xi_[px];
-      if (pinv_[i] != kUnpivoted) {
-        uIdx_.push_back(pinv_[i]);
-        uVal_.push_back(x_[i]);
-        continue;
-      }
-      const double t = std::fabs(x_[i]);
-      if (ipiv == kUnpivoted || t > best) {
-        best = t;
-        ipiv = i;
-      }
-    }
-    if (ipiv == kUnpivoted || best < 1e-300) return false;  // singular
-    const double pivot = x_[ipiv];
-    uIdx_.push_back(k);  // pivot stored last in the U column
-    uVal_.push_back(pivot);
-    pinv_[ipiv] = k;
-    lIdx_.push_back(ipiv);  // unit diagonal stored first in the L column
-    lVal_.push_back(1.0);
-    const double invPivot = 1.0 / pivot;
-    for (std::size_t px = top; px < n_; ++px) {
-      const std::size_t i = xi_[px];
-      if (pinv_[i] == kUnpivoted) {
-        lIdx_.push_back(i);
-        lVal_.push_back(x_[i] * invPivot);
-      }
-      x_[i] = 0.0;
-    }
-  }
-  lPtr_[n_] = lVal_.size();
-  uPtr_[n_] = uVal_.size();
-  // Remap L's row indices into pivot space for the triangular solves.
-  for (auto& idx : lIdx_) idx = pinv_[idx];
-  valid_ = true;
-  return true;
-}
-
-void SparseLu::solveInPlace(Vector& b) const {
-  assert(valid_);
-  if (b.size() != n_) {
-    throw std::invalid_argument("SparseLu::solveInPlace: size mismatch");
-  }
-  scratch_.resize(n_);
-  // Map b into the fill-reducing ordering and through the pivot permutation
-  // in one gather; the result is scattered back below.
-  for (std::size_t i = 0; i < n_; ++i) scratch_[pinv_[i]] = b[perm_[i]];
-  // Forward solve L y = P b (unit diagonal is the first entry per column).
-  for (std::size_t j = 0; j < n_; ++j) {
-    const double xj = scratch_[j];
-    if (xj == 0.0) continue;
-    for (std::size_t p = lPtr_[j] + 1; p < lPtr_[j + 1]; ++p) {
-      scratch_[lIdx_[p]] -= lVal_[p] * xj;
-    }
-  }
-  // Backward solve U x = y (pivot is the last entry per column).
-  for (std::size_t jj = n_; jj-- > 0;) {
-    const std::size_t diag = uPtr_[jj + 1] - 1;
-    const double xj = scratch_[jj] / uVal_[diag];
-    scratch_[jj] = xj;
-    if (xj == 0.0) continue;
-    for (std::size_t p = uPtr_[jj]; p < diag; ++p) {
-      scratch_[uIdx_[p]] -= uVal_[p] * xj;
-    }
-  }
-  for (std::size_t i = 0; i < n_; ++i) b[perm_[i]] = scratch_[i];
 }
 
 }  // namespace nh::util

@@ -1,9 +1,12 @@
 #pragma once
 /// \file linsolve.hpp
-/// Linear solvers: dense LU with partial pivoting for the small MNA systems,
-/// and preconditioned conjugate gradient (Jacobi or zero-fill incomplete
-/// Cholesky) for the large symmetric-positive-definite systems produced by
-/// the finite-volume PDE discretisations.
+/// Linear solvers: dense LU with partial pivoting (the SPICE MNA systems and
+/// the dense Schur complements), the Thomas algorithm for tridiagonal
+/// systems, the Schur-complement solver of the bipartite crossbar line
+/// network, zero-fill incomplete Cholesky IC(0), and preconditioned
+/// conjugate gradient -- assembled (Jacobi, IC(0) or multigrid
+/// preconditioned, for the finite-volume PDE systems) and matrix-free
+/// (operator CG, for the line-network Schur complement).
 
 #include <cstddef>
 #include <functional>
@@ -43,7 +46,7 @@ class SolverError : public std::runtime_error {
   SolverError(const std::string& solve, const std::string& detail,
               std::size_t iterations = 0, double residualNorm = 0.0);
 
-  /// Which solve failed, e.g. "schur-cg" or "fastsim.newton".
+  /// Which solve failed, e.g. "linenet.schur" or "fastsim.newton".
   const std::string& solve() const { return solve_; }
   /// Iterations completed before the failure (0 when not applicable).
   std::size_t iterations() const { return iterations_; }
@@ -334,57 +337,5 @@ IterativeResult solveConjugateGradientOperator(
 /// \p lower has n-1 entries, \p diag n, \p upper n-1.
 Vector solveTridiagonal(const Vector& lower, const Vector& diag,
                         const Vector& upper, const Vector& rhs);
-
-/// Sparse LU factorisation with partial pivoting (left-looking
-/// Gilbert-Peierls, natural column order). Built for the MNA jacobians of
-/// large netlists: a full-array crossbar netlist has thousands of unknowns
-/// but only a handful of entries per row, so the dense O(n^3) factorisation
-/// (and its O(n^2) storage) is the scaling wall the sparse path removes.
-/// refactor() reuses every allocation, so Newton loops and transient
-/// marches refactor without touching the heap once the fill pattern has
-/// stabilised.
-class SparseLu {
- public:
-  /// Factor the square matrix \p a. Returns false (leaving the
-  /// factorisation invalid) when \p a is singular to working precision.
-  ///
-  /// Fill control: the first factorisation of a structure computes a
-  /// reverse Cuthill-McKee ordering of the (symmetrised) pattern and
-  /// factors P A P^T instead of A -- netlists numbered line-by-line (the
-  /// crossbar's word-then-bit segment order has bandwidth O(n)) would
-  /// otherwise fill near-densely. Re-factorisations with an unchanged
-  /// structure (Newton loops) reuse the cached ordering; solveInPlace is
-  /// permutation-transparent.
-  bool refactor(const SparseMatrix& a);
-  bool valid() const { return valid_; }
-  std::size_t size() const { return n_; }
-  /// Entries stored in L + U (fill diagnostic).
-  std::size_t factorNonZeros() const { return lVal_.size() + uVal_.size(); }
-
-  /// Solve A x = b with b overwritten by the solution; no allocation.
-  void solveInPlace(Vector& b) const;
-
- private:
-  /// Recompute perm_/iperm_ (reverse Cuthill-McKee) for a's structure.
-  void computeOrdering(const SparseMatrix& a);
-
-  std::size_t n_ = 0;
-  // Fill-reducing symmetric ordering: factor rows/cols are perm_[k] of the
-  // input; iperm_ is the inverse map. Cached against the input structure.
-  std::vector<std::size_t> perm_, iperm_;
-  std::vector<std::size_t> structRowPtr_, structColIdx_;
-  // CSC factors: L unit-lower-triangular (unit diagonal stored), U upper
-  // triangular with the pivot last in each column.
-  std::vector<std::size_t> lPtr_, lIdx_, uPtr_, uIdx_;
-  std::vector<double> lVal_, uVal_;
-  std::vector<std::size_t> pinv_;  ///< Row -> pivot position.
-  // CSC copy of the input (built by transposing the CSR) and workspaces.
-  std::vector<std::size_t> cscPtr_, cscIdx_;
-  std::vector<double> cscVal_;
-  std::vector<double> x_;  ///< Dense numeric scatter.
-  std::vector<std::size_t> stack_, pstack_, found_, xi_;  ///< DFS state.
-  mutable Vector scratch_;                   ///< Permutation scratch.
-  bool valid_ = false;
-};
 
 }  // namespace nh::util

@@ -19,7 +19,7 @@
 namespace nh::util {
 
 /// Coordinate-format accumulator: duplicate entries are summed on conversion,
-/// which is exactly what stamp-style FEM/MNA assembly wants.
+/// which is exactly what stamp-style FEM assembly wants.
 class TripletBuilder {
  public:
   TripletBuilder(std::size_t rows, std::size_t cols) : rows_(rows), cols_(cols) {}
@@ -127,7 +127,7 @@ class SparseMatrix {
 ///
 /// Contract: every refill must issue the *same stamp sequence* (same
 /// (row, col) pairs in the same order, values free to change) that built the
-/// pattern -- exactly what a fixed-grid FEM/MNA assembly loop does. Duplicate
+/// pattern -- exactly what a fixed-grid FEM assembly loop does. Duplicate
 /// entries accumulate in insertion order both here and in
 /// SparseMatrix::fromTriplets, so a cached refill is bit-identical to a fresh
 /// build.

@@ -24,9 +24,7 @@ struct SpiceEngineOptions {
   double dtInitial = 1e-11;
   /// Record per-cell state/temperature traces (adds probes).
   bool traceCells = true;
-  /// Newton controls forwarded to the transient analysis. The defaults keep
-  /// the seed behaviour at seed sizes; large crossbar netlists cross
-  /// NewtonOptions::sparseMinUnknowns and route through the sparse stack.
+  /// Newton controls forwarded to the transient analysis.
   nh::spice::NewtonOptions newton;
 };
 

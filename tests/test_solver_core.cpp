@@ -914,93 +914,6 @@ TEST(TridiagonalFactor, MatchesOneShotThomasAndDense) {
   EXPECT_FALSE(fz.factor(nh::util::TridiagonalView::diagonal(dz)));
 }
 
-// ---- sparse LU ---------------------------------------------------------------
-
-// 2D grid Laplacian numbered in the fill-hostile order the crossbar MNA
-// produces naturally (all of one line family, then the other).
-SparseMatrix gridSystem(std::size_t m, Rng& rng) {
-  TripletBuilder b(m * m, m * m);
-  const auto id = [m](std::size_t r, std::size_t c) { return r * m + c; };
-  for (std::size_t r = 0; r < m; ++r) {
-    for (std::size_t c = 0; c < m; ++c) {
-      const double d = 4.2 + rng.uniform(0.0, 0.4);
-      b.add(id(r, c), id(r, c), d);
-      if (r + 1 < m) {
-        b.add(id(r, c), id(r + 1, c), -1.0);
-        b.add(id(r + 1, c), id(r, c), -1.0);
-      }
-      if (c + 1 < m) {
-        b.add(id(r, c), id(r, c + 1), -1.0);
-        b.add(id(r, c + 1), id(r, c), -1.0);
-      }
-    }
-  }
-  return SparseMatrix::fromTriplets(b);
-}
-
-TEST(SparseLu, MatchesDenseLuOnGridSystem) {
-  Rng rng(7);
-  const std::size_t m = 12;
-  const SparseMatrix a = gridSystem(m, rng);
-  const std::size_t n = a.rows();
-  Matrix dense(n, n, 0.0);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t k = a.rowPtr()[r]; k < a.rowPtr()[r + 1]; ++k) {
-      dense(r, a.colIdx()[k]) += a.values()[k];
-    }
-  }
-  Vector b(n);
-  for (auto& v : b) v = rng.uniform(-1.0, 1.0);
-  const Vector xRef = nh::util::solveDense(dense, b);
-
-  nh::util::SparseLu lu;
-  ASSERT_TRUE(lu.refactor(a));
-  Vector x = b;
-  lu.solveInPlace(x);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], xRef[i], 1e-10);
-
-  // The RCM ordering must keep the factors sparse: a banded factorisation
-  // of an m x m grid stores O(n * m) entries, nowhere near the dense n^2
-  // (which the natural-order elimination of this numbering approaches).
-  EXPECT_LT(lu.factorNonZeros(), n * (4 * m));
-}
-
-TEST(SparseLu, SameStructureRefactorIsBitIdenticalToFresh) {
-  Rng rng(11);
-  const std::size_t m = 6;
-  const SparseMatrix a1 = gridSystem(m, rng);
-  const SparseMatrix a2 = gridSystem(m, rng);  // same pattern, new values
-
-  nh::util::SparseLu reused;
-  ASSERT_TRUE(reused.refactor(a1));
-  ASSERT_TRUE(reused.refactor(a2));  // exercises the cached-ordering path
-
-  nh::util::SparseLu fresh;
-  ASSERT_TRUE(fresh.refactor(a2));
-
-  Vector b(a2.rows());
-  for (auto& v : b) v = rng.uniform(-1.0, 1.0);
-  Vector xReused = b, xFresh = b;
-  reused.solveInPlace(xReused);
-  fresh.solveInPlace(xFresh);
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    EXPECT_DOUBLE_EQ(xReused[i], xFresh[i]);
-  }
-}
-
-TEST(SparseLu, SingularMatrixReturnsFalse) {
-  TripletBuilder b(3, 3);
-  b.add(0, 0, 1.0);
-  b.add(0, 1, 1.0);
-  b.add(1, 0, 2.0);
-  b.add(1, 1, 2.0);  // row 1 = 2 * row 0
-  b.add(2, 2, 1.0);
-  const SparseMatrix a = SparseMatrix::fromTriplets(b);
-  nh::util::SparseLu lu;
-  EXPECT_FALSE(lu.refactor(a));
-  EXPECT_FALSE(lu.valid());
-}
-
 // ---- FastEngine Schur-mode equivalence ---------------------------------------
 
 TEST(FastEngineSchur, AllModesMatchTheSeedDensePath) {

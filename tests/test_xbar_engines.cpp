@@ -240,24 +240,34 @@ TEST(FastEngine, OptionValidation) {
 // ---- SPICE engine ------------------------------------------------------------------
 
 TEST(SpiceCrossbar, DcLevelsMatchScheme) {
-  CrossbarArray array(config3x3());
-  array.fill(CellState::Hrs);
-  array.setState(1, 1, CellState::Lrs);
-  SpiceEngineOptions opt;
-  opt.traceCells = false;
-  SpiceCrossbar spice(array, AlphaTable::analytic(50e-9), opt);
-  spice.programDrivers(selectBias(BiasScheme::Half, 3, 3, 1, 1, 1.05), {});
+  // 3x3 and 16x16 arrays; the 16x16 netlist has 2*256 + 2*32 = 576 unknowns,
+  // the largest netlist the tests build.
+  for (const std::size_t n : {std::size_t{3}, std::size_t{16}}) {
+    SCOPED_TRACE(n);
+    ArrayConfig cfg;
+    cfg.rows = n;
+    cfg.cols = n;
+    CrossbarArray array(cfg);
+    const std::size_t sel = n / 2;
+    array.fill(CellState::Hrs);
+    array.setState(sel, sel, CellState::Lrs);
+    SpiceEngineOptions opt;
+    opt.traceCells = false;
+    SpiceCrossbar spice(array, AlphaTable::analytic(50e-9), opt);
+    spice.programDrivers(selectBias(BiasScheme::Half, n, n, sel, sel, 1.05), {});
 
-  auto& ckt = spice.circuit();
-  const auto result = nh::spice::solveDc(ckt);
-  ASSERT_TRUE(result.converged);
-  const auto v = [&](const std::string& name) {
-    const auto id = ckt.findNode(name);
-    return id == 0 ? 0.0 : result.x[id - 1];
-  };
-  EXPECT_NEAR(v(spice.wordLineNode(1, 1)), 1.05, 0.02);
-  EXPECT_NEAR(v(spice.bitLineNode(1, 1)), 0.0, 0.02);
-  EXPECT_NEAR(v(spice.wordLineNode(0, 0)), 0.525, 0.02);
+    auto& ckt = spice.circuit();
+    const auto result = nh::spice::solveDc(ckt);
+    ASSERT_TRUE(result.converged);
+    EXPECT_EQ(result.x.size(), 2 * n * n + 4 * n);
+    const auto v = [&](const std::string& name) {
+      const auto id = ckt.findNode(name);
+      return id == 0 ? 0.0 : result.x[id - 1];
+    };
+    EXPECT_NEAR(v(spice.wordLineNode(sel, sel)), 1.05, 0.02);
+    EXPECT_NEAR(v(spice.bitLineNode(sel, sel)), 0.0, 0.02);
+    EXPECT_NEAR(v(spice.wordLineNode(0, 0)), 0.525, 0.02);
+  }
 }
 
 TEST(SpiceCrossbar, TransientHammerAdvancesVictim) {
