@@ -74,23 +74,15 @@ void FastEngine::refreshCrosstalk(const RowWork& rowWork) {
   });
 }
 
-void FastEngine::solveNetwork(const LineBias& bias) {
-  const std::size_t rows = array_->rows();
-  const std::size_t cols = array_->cols();
+void FastEngine::solveNetwork() {
   const double rDrv = array_->config().driverResistance;
-
   if (!options_.solveLineNetwork || rDrv <= 0.0) {
-    for (std::size_t r = 0; r < rows; ++r) lineVoltages_[r] = bias.wordLine[r];
-    for (std::size_t c = 0; c < cols; ++c) lineVoltages_[rows + c] = bias.bitLine[c];
+    lineVoltages_ = drivers_.level;  // same size: copies, never allocates
     return;
   }
 
-  // Every line is driven to its bias level through the driver impedance.
-  drivers_.level.resize(rows + cols);
-  std::copy(bias.wordLine.begin(), bias.wordLine.end(), drivers_.level.begin());
-  std::copy(bias.bitLine.begin(), bias.bitLine.end(), drivers_.level.begin() + rows);
-  drivers_.conductance.assign(rows + cols, 1.0 / rDrv);
-
+  // Every line is driven to its level through the driver impedance.
+  drivers_.conductance.assign(drivers_.level.size(), 1.0 / rDrv);
   const LineSolveResult solved =
       network_.solve(*array_, drivers_, options_, lineVoltages_);
   newtonTotal_ += solved.newtonIterations;
@@ -103,8 +95,8 @@ void FastEngine::solveNetwork(const LineBias& bias) {
   if (solved.capHit) ++newtonCapHits_;
 }
 
-void FastEngine::step(const LineBias& bias, double h) {
-  solveNetwork(bias);
+void FastEngine::step(double h) {
+  solveNetwork();
   const std::size_t rows = array_->rows();
   const std::size_t cols = array_->cols();
   refreshCrosstalk([&](std::size_t r) {
@@ -134,6 +126,10 @@ void FastEngine::applyBias(const LineBias& bias, double duration) {
     throw std::invalid_argument("FastEngine: bias shape mismatch");
   }
   if (duration <= 0.0) return;
+  drivers_.level.resize(array_->rows() + array_->cols());
+  std::copy(bias.wordLine.begin(), bias.wordLine.end(), drivers_.level.begin());
+  std::copy(bias.bitLine.begin(), bias.bitLine.end(),
+            drivers_.level.begin() + static_cast<std::ptrdiff_t>(array_->rows()));
   // The crosstalk hub is refreshed once per substep, so a neighbour's input
   // temperature is stale within a substep. Keep the first substep near the
   // filament thermal time constant: the sources heat up during it, and from
@@ -142,12 +138,12 @@ void FastEngine::applyBias(const LineBias& bias, double duration) {
   const std::size_t n = options_.substepsPerPulse;
   double first = std::min(2.0 * tau, duration / static_cast<double>(n));
   if (n == 1) first = duration;
-  step(bias, first);
+  step(first);
   const double remaining = duration - first;
   if (remaining <= 0.0) return;
   const std::size_t rest = n > 1 ? n - 1 : 1;
   const double h = remaining / static_cast<double>(rest);
-  for (std::size_t s = 0; s < rest; ++s) step(bias, h);
+  for (std::size_t s = 0; s < rest; ++s) step(h);
 }
 
 void FastEngine::applyPulse(const LineBias& bias, double width, double gap) {
@@ -155,9 +151,10 @@ void FastEngine::applyPulse(const LineBias& bias, double width, double gap) {
   if (options_.relaxBetweenPulses && gap > 0.0) {
     // Idle: all drivers at 0 V; devices cool toward ambient. A couple of
     // coarse steps suffice (the thermal relaxation is handled adaptively
-    // inside each device).
-    const LineBias idle = idleBias(array_->rows(), array_->cols());
-    solveNetwork(idle);
+    // inside each device). The network solve returns +0.0 V on every line
+    // without a Newton iteration (xbar/linenet.hpp).
+    drivers_.level.assign(array_->rows() + array_->cols(), 0.0);
+    solveNetwork();
     refreshCrosstalk([&](std::size_t r) {
       std::size_t nonConverged = 0;
       for (std::size_t c = 0; c < array_->cols(); ++c) {

@@ -19,8 +19,10 @@
 /// in row-major order. Results are therefore bit-identical to a serial run
 /// at every thread count. An engine driven from inside a pool task (an
 /// nh_sweep grid point, a campaign trial) runs its blocks inline, so
-/// multi-point grids keep point-level parallelism only. The Schur solve of
-/// each Newton update stays serial.
+/// multi-point grids keep point-level parallelism only. From
+/// util::kSchurParallelMinCols (64) bit lines the dense Schur assembly of
+/// each Newton update runs its complement rows on the pool as well, with
+/// the same bits; its LU factorisation stays serial.
 
 #include <cstddef>
 #include <functional>
@@ -48,7 +50,12 @@ struct FastEngineOptions {
   double batchDriftLimit = 0.002;
   /// Hard cap on the batch size.
   std::size_t maxBatch = 1024;
-  /// Newton controls for the line-network solve (xbar/linenet.hpp).
+  /// Newton controls for the line-network solve (xbar/linenet.hpp): the
+  /// loop stops once the largest line-voltage step, or its contraction
+  /// estimate theta / (1 - theta) * step with theta the ratio of the last
+  /// two steps (Hairer & Wanner, Solving ODEs II, Sec. IV.8), is below
+  /// newtonTol [V]. newtonTol so bounds the line-voltage error left in the
+  /// solution.
   double newtonTol = 1e-9;
   std::size_t maxNewtonIterations = 60;
   /// Which Schur-complement backend carries each Newton update. SeedDense
@@ -113,10 +120,13 @@ class FastEngine {
   /// Line node voltages of the last network solve (diagnostics/tests):
   /// word lines then bit lines.
   const nh::util::Vector& lastLineVoltages() const { return lineVoltages_; }
-  /// Total Newton iterations spent in line-network solves.
+  /// Total Newton iterations spent in line-network solves. The idle gap
+  /// adds none: its all-zero drive is solved without an iteration.
   std::size_t newtonIterationsTotal() const { return newtonTotal_; }
   /// Compact-model conduction solves that did not converge, counted from the
-  /// Jacobian fill and from every device advance. 0 on a healthy run.
+  /// Jacobian fill and from every device advance. 0 on a healthy run. The
+  /// idle gap has no fill, so a cell with a NaN state counts there only
+  /// through its advance.
   std::size_t conductionNonConvergedTotal() const { return conductionNonConverged_; }
   /// Line-network solves that left the Newton loop at maxNewtonIterations
   /// without meeting newtonTol. 0 on a healthy run.
@@ -131,8 +141,8 @@ class FastEngine {
   void resetEnergy();
 
  private:
-  /// One quasi-static substep of length h under a fixed bias.
-  void step(const LineBias& bias, double h);
+  /// One quasi-static substep of length h under the drivers_ levels.
+  void step(double h);
   /// body(begin, end) over row blocks: on the shared pool from
   /// kParallelMinCells cells, else one inline call.
   template <typename Body>
@@ -144,8 +154,8 @@ class FastEngine {
   /// devices (the crosstalk sources are read first).
   template <typename RowWork>
   void refreshCrosstalk(const RowWork& rowWork);
-  /// Solve the line network; fills lineVoltages_.
-  void solveNetwork(const LineBias& bias);
+  /// Solve the line network under the drivers_ levels; fills lineVoltages_.
+  void solveNetwork();
 
   CrossbarArray* array_;
   CrosstalkHub hub_;

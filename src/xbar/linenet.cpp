@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "util/threadpool.hpp"
@@ -11,6 +12,15 @@ namespace nh::xbar {
 
 bool LineSolveResult::converged() const {
   return !capHit && std::isfinite(lastStep);
+}
+
+double contractionErrorEstimate(double step, double prevStep) {
+  const double none = std::numeric_limits<double>::infinity();
+  if (!(prevStep > 0.0) || !std::isfinite(prevStep)) return none;
+  const double theta = step / prevStep;
+  // Negated so a NaN rate counts as no contraction.
+  if (!(theta < 1.0)) return none;
+  return theta / (1.0 - theta) * step;
 }
 
 LineSolveResult LineNetworkSolver::solve(const CrossbarArray& array,
@@ -24,6 +34,15 @@ LineSolveResult LineNetworkSolver::solve(const CrossbarArray& array,
     throw std::invalid_argument("LineNetworkSolver: driver shape mismatch");
   }
 
+  LineSolveResult result;
+  // All drivers at 0 V: with every line at +0.0 each cell sees 0 V and
+  // carries exactly zero current, so the residual and the update are zero.
+  if (std::all_of(drivers.level.begin(), drivers.level.end(),
+                  [](double v) { return v == 0.0; })) {
+    voltages.assign(n, 0.0);
+    return result;
+  }
+
   // Start from the driver levels: the previous solution can belong to a
   // very different bias (e.g. after a scheme change).
   voltages = drivers.level;
@@ -35,7 +54,7 @@ LineSolveResult LineNetworkSolver::solve(const CrossbarArray& array,
   cellCurrent_.resize(rows * cols);
   rowNonConverged_.resize(rows);
 
-  LineSolveResult result;
+  double prevStep = 0.0;  // none before the first iteration
   for (std::size_t iter = 0; iter < options.maxNewtonIterations; ++iter) {
     result.conductionNonConverged += fillJacobian(array, drivers, voltages);
     solveUpdate(options);
@@ -49,9 +68,13 @@ LineSolveResult LineNetworkSolver::solve(const CrossbarArray& array,
     }
     ++result.newtonIterations;
     result.lastStep = maxStep;
+    result.errorEstimate = std::min(maxStep, contractionErrorEstimate(maxStep, prevStep));
     // NaN/Inf guard: std::clamp passes NaN through, so a poisoned solve
     // would otherwise iterate to the cap and leave NaN line voltages behind.
-    if (!std::isfinite(maxStep) || maxStep < options.newtonTol) return result;
+    if (!std::isfinite(maxStep) || result.errorEstimate < options.newtonTol) {
+      return result;
+    }
+    prevStep = maxStep;
   }
   result.capHit = true;
   return result;

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -23,8 +24,11 @@
 #include "util/multigrid.hpp"
 #include "util/rng.hpp"
 #include "util/sparse.hpp"
+#include "util/threadpool.hpp"
 #include "xbar/fastsim.hpp"
 #include "xbar/linenet.hpp"
+
+#include "line_network_oracle.hpp"
 
 namespace {
 
@@ -620,48 +624,6 @@ TEST(SchurComplementSolver, ShapeMismatchThrows) {
                std::invalid_argument);
 }
 
-/// Test-local reference for the line network: Newton on the fully
-/// assembled (rows + cols) square Jacobian, LU-factored densely every
-/// iteration, with the same update clamp and tolerance as LineNetworkSolver.
-Vector denseLineNewton(const nh::xbar::CrossbarArray& array,
-                       const nh::xbar::LineDrivers& drivers) {
-  const std::size_t rows = array.rows();
-  const std::size_t cols = array.cols();
-  const std::size_t n = rows + cols;
-  Vector v = drivers.level;
-  for (int iter = 0; iter < 60; ++iter) {
-    Matrix j(n, n, 0.0);
-    Vector res(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      j(i, i) = drivers.conductance[i];
-      res[i] = drivers.conductance[i] * (v[i] - drivers.level[i]);
-    }
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        const std::size_t b = rows + c;
-        const auto e = array.cell(r, c).evaluate(v[r] - v[b]);
-        const double g = e.conductance > 0.0 ? e.conductance : 1e-12;
-        res[r] += e.current;
-        res[b] -= e.current;
-        j(r, r) += g;
-        j(b, b) += g;
-        j(r, b) -= g;
-        j(b, r) -= g;
-      }
-    }
-    const Vector delta = nh::util::solveDense(j, res);
-    double maxStep = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d = std::clamp(delta[i], -0.5, 0.5);
-      v[i] -= d;
-      maxStep = std::max(maxStep, std::fabs(d));
-    }
-    if (maxStep < 1e-9) return v;
-  }
-  ADD_FAILURE() << "dense reference Newton did not converge";
-  return v;
-}
-
 TEST(LineNetworkSolver, MatchesDenseJacobianNewtonOnRandomCrossbars) {
   // The Schur-complement Newton against the dense factorisation of the
   // whole Jacobian: driven (V/2 hammer bias) and partly floating lines.
@@ -695,11 +657,76 @@ TEST(LineNetworkSolver, MatchesDenseJacobianNewtonOnRandomCrossbars) {
           solver.solve(array, drivers, nh::xbar::FastEngineOptions{}, voltages);
       ASSERT_TRUE(solved.converged());
       EXPECT_EQ(solved.conductionNonConverged, 0u);
-      const Vector ref = denseLineNewton(array, drivers);
+      const Vector ref = nh::xbar::oracle::denseLineNewton(array, drivers);
       ASSERT_EQ(voltages.size(), ref.size());
       for (std::size_t i = 0; i < ref.size(); ++i) {
         EXPECT_NEAR(voltages[i], ref[i], 1e-9) << "line " << i;
       }
+    }
+  }
+}
+
+TEST(LineNetworkSolver, ContractionEstimateNeedsAContractingStep) {
+  // theta >= 1 (equal or growing steps) never yields a finite estimate, so
+  // a stagnating or diverging Newton loop cannot stop on it; neither can the
+  // first iteration, which has no previous step.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [step, prevStep] :
+       {std::pair<double, double>{1e-12, 1e-12}, {2e-12, 1e-12}, {0.5, 0.5},
+        {1e-3, 0.0}, {0.0, 0.0}, {nan, 1e-3}, {1e-12, nan}, {1e-12, inf}}) {
+    EXPECT_EQ(nh::xbar::contractionErrorEstimate(step, prevStep), inf)
+        << step << " after " << prevStep;
+  }
+  // A non-contracting sequence of tiny steps: no estimate along the way.
+  double prev = 0.0;
+  for (const double step : {1e-10, 1e-10, 3e-10, 3e-10, 5e-10}) {
+    EXPECT_EQ(nh::xbar::contractionErrorEstimate(step, prev), inf) << step;
+    prev = step;
+  }
+  // A contracting pair: theta / (1 - theta) * step.
+  EXPECT_DOUBLE_EQ(nh::xbar::contractionErrorEstimate(1e-8, 1e-2),
+                   1e-6 / (1.0 - 1e-6) * 1e-8);
+  EXPECT_DOUBLE_EQ(nh::xbar::contractionErrorEstimate(0.25, 0.5), 0.25);
+}
+
+TEST(LineNetworkSolver, ZeroDriveSolutionIsPositiveZero) {
+  // All drivers at 0 V on LRS/HRS mixes, some lines floating: the dense
+  // oracle's Newton stays at +0.0 on every line (cell current at 0 V is
+  // exactly zero), and the solver returns that without an iteration.
+  Rng rng(404);
+  for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{3, 3},
+                                   {5, 8},
+                                   {16, 16}}) {
+    nh::xbar::ArrayConfig cfg;
+    cfg.rows = rows;
+    cfg.cols = cols;
+    nh::xbar::CrossbarArray array(cfg);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        array.setState(r, c, rng.uniform(0.0, 1.0) < 0.5 ? nh::xbar::CellState::Hrs
+                                                         : nh::xbar::CellState::Lrs);
+      }
+    }
+    nh::xbar::LineDrivers drivers{Vector(rows + cols, 0.0),
+                                  Vector(rows + cols, 1.0 / cfg.driverResistance)};
+    drivers.conductance[1] = 0.0;
+    drivers.conductance[rows] = 0.0;
+    const Vector ref = nh::xbar::oracle::denseLineNewton(array, drivers);
+    nh::xbar::LineNetworkSolver solver;
+    Vector voltages(rows + cols, 0.7);  // overwritten
+    const auto solved =
+        solver.solve(array, drivers, nh::xbar::FastEngineOptions{}, voltages);
+    EXPECT_TRUE(solved.converged());
+    EXPECT_EQ(solved.newtonIterations, 0u);
+    EXPECT_EQ(solved.errorEstimate, 0.0);
+    ASSERT_EQ(ref.size(), rows + cols);
+    ASSERT_EQ(voltages.size(), rows + cols);
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      EXPECT_EQ(ref[i], 0.0) << "line " << i;
+      EXPECT_FALSE(std::signbit(ref[i])) << "line " << i;
+      EXPECT_EQ(voltages[i], 0.0) << "line " << i;
+      EXPECT_FALSE(std::signbit(voltages[i])) << "line " << i;
     }
   }
 }
@@ -965,6 +992,79 @@ TEST(FastEngineSchur, AllModesMatchTheSeedDensePath) {
     for (std::size_t i = 0; i < seed.size(); ++i) {
       EXPECT_NEAR(lv[i], seed[i], 1e-9) << "line " << i;
     }
+  }
+}
+
+/// The dense Schur solve as it was assembled before the row blocks: word
+/// lines outer, each scattering its rank-1 update over the whole upper
+/// triangle, then the same LU solve and back-substitution.
+Vector rowOuterSchurSolve(const Vector& d1, const Vector& d2, const Matrix& g,
+                          const Vector& r) {
+  const std::size_t n1 = d1.size();
+  const std::size_t n2 = d2.size();
+  Matrix schur(n2, n2, 0.0);
+  Vector rhs(n2);
+  for (std::size_t c = 0; c < n2; ++c) rhs[c] = r[n1 + c];
+  for (std::size_t i = 0; i < n1; ++i) {
+    const double invD = 1.0 / d1[i];
+    const double scaledRes = r[i] * invD;
+    const double* row = g.data() + i * n2;
+    for (std::size_t c1 = 0; c1 < n2; ++c1) {
+      const double gScaled = row[c1] * invD;
+      rhs[c1] += row[c1] * scaledRes;
+      double* s = schur.data() + c1 * n2;
+      for (std::size_t c2 = c1; c2 < n2; ++c2) s[c2] -= gScaled * row[c2];
+    }
+  }
+  for (std::size_t c1 = 0; c1 < n2; ++c1) {
+    schur(c1, c1) += d2[c1];
+    for (std::size_t c2 = 0; c2 < c1; ++c2) schur(c1, c2) = schur(c2, c1);
+  }
+  nh::util::LuFactorization lu;
+  EXPECT_TRUE(lu.refactor(schur));
+  lu.solveInPlace(rhs);
+  Vector x(n1 + n2);
+  for (std::size_t i = 0; i < n1; ++i) {
+    double acc = r[i];
+    const double* row = g.data() + i * n2;
+    for (std::size_t c = 0; c < n2; ++c) acc += row[c] * rhs[c];
+    x[i] = acc / d1[i];
+  }
+  for (std::size_t c = 0; c < n2; ++c) x[n1 + c] = rhs[c];
+  return x;
+}
+
+TEST(SchurComplementSolver, RowBlockAssemblyMatchesRowOuterOracleBitForBit) {
+  // Below and above kSchurParallelMinCols columns, square and not. From the
+  // test thread the complement rows run on the shared pool (NH_THREADS
+  // executors; the test_solver_core_pool4 ctest entry pins 4); inside a
+  // pool task they run inline on one executor.
+  Rng rng(4242);
+  const std::size_t cross = nh::util::kSchurParallelMinCols;
+  for (const auto& [n1, n2] : {std::pair<std::size_t, std::size_t>{24, cross / 2},
+                               {40, cross - 1},
+                               {cross, cross},
+                               {80, cross + 1},
+                               {33, 2 * cross}}) {
+    const BlockSystem sys = makeBlockSystem(rng, n1, n2);
+    const Vector want = rowOuterSchurSolve(sys.d1, sys.d2, sys.g, sys.r);
+
+    nh::util::SchurComplementSolver pooled;
+    Vector x;
+    ASSERT_TRUE(pooled.solve(sys.d1, sys.d2, sys.g, sys.r, x));
+    EXPECT_EQ(x, want) << n1 << "x" << n2 << " on the shared pool";
+    ASSERT_TRUE(pooled.solve(sys.d1, sys.d2, sys.g, sys.r, x));  // reused workspace
+    EXPECT_EQ(x, want) << n1 << "x" << n2 << " repeated";
+
+    Vector inlineX;
+    bool inlineOk = false;
+    nh::util::ThreadPool::shared().submit([&] {
+      nh::util::SchurComplementSolver serial;
+      inlineOk = serial.solve(sys.d1, sys.d2, sys.g, sys.r, inlineX);
+    });
+    nh::util::ThreadPool::shared().wait();
+    ASSERT_TRUE(inlineOk);
+    EXPECT_EQ(inlineX, want) << n1 << "x" << n2 << " inline";
   }
 }
 

@@ -43,6 +43,37 @@ TEST(FastEngine, IdealModeSkipsNetworkSolve) {
   EXPECT_EQ(engine.newtonIterationsTotal(), 0u);
 }
 
+TEST(FastEngine, IdleGapLeavesLinesAtZeroWithoutNewtonIterations) {
+  // The idle gap drives every line to 0 V. Its network solution is +0.0 on
+  // every line, returned without a Newton iteration, so a pulse costs the
+  // iterations of its driven substeps only.
+  ArrayConfig cfg;
+  cfg.rows = 5;
+  cfg.cols = 5;
+  const LineBias bias = selectBias(BiasScheme::Half, 5, 5, 2, 2, 1.05);
+  const auto makeArray = [&] {
+    CrossbarArray array(cfg);
+    array.fill(CellState::Hrs);
+    array.setState(2, 2, CellState::Lrs);
+    array.setState(0, 3, CellState::Lrs);
+    return array;
+  };
+  CrossbarArray pulsedArray = makeArray();
+  FastEngine pulsed(pulsedArray, AlphaTable::analytic(50e-9));
+  pulsed.applyPulse(bias, 50e-9, 50e-9);
+  CrossbarArray drivenArray = makeArray();
+  FastEngine driven(drivenArray, AlphaTable::analytic(50e-9));
+  driven.applyBias(bias, 50e-9);
+
+  EXPECT_GT(driven.newtonIterationsTotal(), 0u);
+  EXPECT_EQ(pulsed.newtonIterationsTotal(), driven.newtonIterationsTotal());
+  EXPECT_GT(driven.lastLineVoltages()[2], 1.0);
+  for (const double v : pulsed.lastLineVoltages()) {
+    EXPECT_EQ(v, 0.0);
+    EXPECT_FALSE(std::signbit(v));
+  }
+}
+
 TEST(FastEngine, TimeAdvances) {
   CrossbarArray array(config3x3());
   FastEngine engine(array, AlphaTable::analytic(50e-9));

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "spice/analysis.hpp"
@@ -14,6 +16,8 @@
 #include "util/rng.hpp"
 #include "xbar/fastsim.hpp"
 #include "xbar/linenet.hpp"
+
+#include "line_network_oracle.hpp"
 
 namespace nh::xbar {
 namespace {
@@ -171,7 +175,79 @@ TEST(LineNetworkSolver, ReportsTheIterationCap) {
   EXPECT_TRUE(full.converged());
   EXPECT_FALSE(full.capHit);
   EXPECT_GT(full.newtonIterations, 1u);
-  EXPECT_LT(full.lastStep, FastEngineOptions{}.newtonTol);
+  // The loop may stop on the contraction estimate while the last step is
+  // still above newtonTol: the estimate, and the distance to the dense
+  // oracle, are what newtonTol bounds.
+  const double tol = FastEngineOptions{}.newtonTol;
+  EXPECT_LT(full.errorEstimate, tol);
+  const util::Vector ref = oracle::denseLineNewton(array, drivers);
+  ASSERT_EQ(voltages.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    EXPECT_NEAR(voltages[i], ref[i], tol) << "line " << i;
+  }
+}
+
+TEST(LineNetworkSolver, ContractionStopLandsWithinNewtonTolOfDenseOracle) {
+  // Seeded arrays from 3x3 to 16x16 with LRS/HRS mixes, read under both
+  // schemes (every line driven; unselected lines floating), at a read and
+  // a write-level drive: wherever the loop stops, the line voltages lie
+  // within newtonTol of the dense-Jacobian Newton, and the estimate that
+  // stopped it is below newtonTol.
+  const double tol = FastEngineOptions{}.newtonTol;
+  const std::pair<std::size_t, std::size_t> shapes[] = {{3, 3}, {4, 7}, {8, 8}, {11, 6},
+                                                        {16, 16}};
+  std::uint64_t stream = 0;
+  std::size_t solves = 0;
+  std::size_t contractionStops = 0;
+  for (const auto& [rows, cols] : shapes) {
+    util::Rng rng = util::Rng::forStream(77, stream++);
+    ArrayConfig cfg;
+    cfg.rows = rows;
+    cfg.cols = cols;
+    CrossbarArray array(cfg);
+    const double lrsFraction = rng.uniform(0.1, 0.9);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        array.setState(r, c, rng.uniform() < lrsFraction ? CellState::Lrs : CellState::Hrs);
+      }
+    }
+    const std::size_t selRow = rng.uniformInt(rows);
+    const std::size_t selCol = rng.uniformInt(cols);
+    const double gDrv = 1.0 / cfg.driverResistance;
+    for (const ReadScheme scheme : {ReadScheme::HalfBias, ReadScheme::FloatingLines}) {
+      for (const double vRead : {0.2, 1.05}) {
+        // The read's drivers, as analyzeSneak sets them.
+        LineDrivers drivers{util::Vector(rows + cols, vRead / 2),
+                            util::Vector(rows + cols,
+                                         scheme == ReadScheme::HalfBias ? gDrv : 0.0)};
+        drivers.level[selRow] = vRead;
+        drivers.conductance[selRow] = gDrv;
+        drivers.level[rows + selCol] = 0.0;
+        drivers.conductance[rows + selCol] = gDrv;
+        const std::string what = std::to_string(rows) + "x" + std::to_string(cols) +
+                                 (scheme == ReadScheme::HalfBias ? " V/2 " : " floating ") +
+                                 std::to_string(vRead) + " V";
+
+        LineNetworkSolver solver;
+        util::Vector voltages;
+        const LineSolveResult solved =
+            solver.solve(array, drivers, FastEngineOptions{}, voltages);
+        ASSERT_TRUE(solved.converged()) << what;
+        EXPECT_LT(solved.errorEstimate, tol) << what;
+        if (solved.lastStep >= tol) ++contractionStops;
+        const util::Vector ref = oracle::denseLineNewton(array, drivers);
+        ASSERT_EQ(voltages.size(), ref.size()) << what;
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+          EXPECT_NEAR(voltages[i], ref[i], tol) << what << ", line " << i;
+        }
+        ++solves;
+      }
+    }
+  }
+  EXPECT_EQ(solves, std::size(shapes) * 2 * 2);
+  // Some solves stop on the estimate with their last step still above
+  // newtonTol, so the oracle check above covers that stop.
+  EXPECT_GT(contractionStops, 0u);
 }
 
 TEST(Sneak, NonFiniteReadThrowsSolverError) {
