@@ -9,7 +9,6 @@
 #include "util/cancellation.hpp"
 #include "util/faultinject.hpp"
 #include "util/multigrid.hpp"
-#include "util/threadpool.hpp"
 
 namespace nh::util {
 
@@ -150,24 +149,22 @@ bool SchurComplementSolver::solve(const Vector& d1, const Vector& d2,
   }
 
   // S = diag(d2) - G^T diag(d1)^-1 G and rhs = r2 + G^T diag(d1)^-1 r1, one
-  // complement row per bit line c1. Each entry accumulates over word lines
-  // in ascending order whatever the row blocks, so the pool's split leaves
-  // every bit unchanged. S is symmetric: fill the upper triangle and mirror.
-  forBlocks(n2, kSchurParallelMinCols, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t c1 = begin; c1 < end; ++c1) {
-      double* s = schur_.data() + c1 * n2;
-      std::fill(s + c1, s + n2, 0.0);
-      double rhs = r[n1 + c1];
-      for (std::size_t i = 0; i < n1; ++i) {
-        const double* row = g.data() + i * n2;
-        const double gScaled = row[c1] * invD1_[i];
-        rhs += row[c1] * scaledRes_[i];
-        for (std::size_t c2 = c1; c2 < n2; ++c2) s[c2] -= gScaled * row[c2];
-      }
-      s[c1] += d2[c1];
-      rhs_[c1] = rhs;
+  // complement row per bit line c1, each entry accumulated over word lines
+  // in ascending order (docs/kernels.md). S is symmetric: fill the upper
+  // triangle and mirror.
+  for (std::size_t c1 = 0; c1 < n2; ++c1) {
+    double* s = schur_.data() + c1 * n2;
+    std::fill(s + c1, s + n2, 0.0);
+    double rhs = r[n1 + c1];
+    for (std::size_t i = 0; i < n1; ++i) {
+      const double* row = g.data() + i * n2;
+      const double gScaled = row[c1] * invD1_[i];
+      rhs += row[c1] * scaledRes_[i];
+      for (std::size_t c2 = c1; c2 < n2; ++c2) s[c2] -= gScaled * row[c2];
     }
-  });
+    s[c1] += d2[c1];
+    rhs_[c1] = rhs;
+  }
   for (std::size_t c1 = 0; c1 < n2; ++c1) {
     for (std::size_t c2 = 0; c2 < c1; ++c2) schur_(c1, c2) = schur_(c2, c1);
   }

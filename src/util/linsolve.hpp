@@ -145,13 +145,6 @@ class TridiagonalFactor {
   bool valid_ = false;
 };
 
-/// Column count from which SchurComplementSolver::solve assembles its
-/// complement rows on the shared pool. BM_LineNetworkSolve on a 4-core
-/// Xeon, serial against a pool of 4: 25 -> 33 us at 32 columns, 70 -> 77 us
-/// at 48, a tie at 56, 151-163 -> 132-143 us at 64 (the LU of the
-/// complement stays serial).
-inline constexpr std::size_t kSchurParallelMinCols = 64;
-
 /// Controls for SchurComplementSolver.
 struct SchurOptions {
   /// Backend of solveBanded: the dense assembly is O(n1 n2^2) per solve,
@@ -195,9 +188,7 @@ class SchurComplementSolver {
   /// \p d1 (size n1, entries nonzero), \p d2 (size n2), residual \p r (size
   /// n1+n2; first block first). \p x receives the solution (resized to
   /// n1+n2). Always takes the dense path -- byte-identical to the seed
-  /// behaviour regardless of options(). From kSchurParallelMinCols columns
-  /// the complement rows are assembled in blocks on the shared pool, with
-  /// the same bits at every thread count. Returns false when the Schur
+  /// behaviour regardless of options(). Returns false when the Schur
   /// complement is singular to working precision.
   bool solve(const Vector& d1, const Vector& d2, const Matrix& g,
              const Vector& r, Vector& x);

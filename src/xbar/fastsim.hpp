@@ -19,10 +19,8 @@
 /// in row-major order. Results are therefore bit-identical to a serial run
 /// at every thread count. An engine driven from inside a pool task (an
 /// nh_sweep grid point, a campaign trial) runs its blocks inline, so
-/// multi-point grids keep point-level parallelism only. From
-/// util::kSchurParallelMinCols (64) bit lines the dense Schur assembly of
-/// each Newton update runs its complement rows on the pool as well, with
-/// the same bits; its LU factorisation stays serial.
+/// multi-point grids keep point-level parallelism only. The Schur solve of
+/// each Newton update stays serial.
 
 #include <cstddef>
 #include <functional>

@@ -8,20 +8,15 @@
 /// complement. The attack engine (FastEngine) and the read analysis
 /// (analyzeSneak, worstCaseReadMargin) both solve the network here.
 ///
-/// Stop rule: the Newton loop stops on the first iteration whose step or
-/// contraction estimate (contractionErrorEstimate) falls below newtonTol.
-/// From the ideal-driver start the steps of a driven solve run about 6e-3,
-/// 5e-8, 1e-16 V: the estimate stops it after the second, where a step test
-/// alone would need the third just to confirm convergence. An all-zero
-/// drive returns +0.0 V on every line without a fill: cell current at 0 V
-/// is exactly zero, so that is the exact solution.
+/// Stop rule: see FastEngineOptions::newtonTol. An all-zero drive returns
+/// +0.0 V on every line without a fill: cell current at 0 V is exactly
+/// zero, so that is the exact solution.
 ///
 /// Parallelism: from kParallelMinCells cells up, the Jacobian fill runs in
 /// contiguous row blocks on the shared thread pool. A word line's sums stay
 /// inside its row block and the bit-line sums run in a serial pass in row
 /// order, so the result is bit-identical to a serial solve at every thread
-/// count. The dense Schur assembly runs its complement rows in blocks on
-/// the pool too (SchurComplementSolver::solve, bit-identical as well).
+/// count. The Schur solve itself stays serial.
 
 #include <cstddef>
 #include <vector>
@@ -62,10 +57,8 @@ struct LineSolveResult {
   bool converged() const;
 };
 
-/// Error bound of a contracting iteration (Hairer & Wanner, Solving
-/// Ordinary Differential Equations II, Sec. IV.8): with the rate
-/// theta = step / prevStep < 1, the iterate that \p step produced lies
-/// within theta / (1 - theta) * step of the solution. +Inf when no
+/// theta / (1 - theta) * step with theta = step / prevStep, the error
+/// bound of the stop rule (FastEngineOptions::newtonTol). +Inf when no
 /// contraction has been observed: no previous step (prevStep <= 0),
 /// theta >= 1, or a step that is not finite.
 double contractionErrorEstimate(double step, double prevStep);
@@ -77,9 +70,8 @@ class LineNetworkSolver {
   /// Solve the KCL equations of \p array's line network under \p drivers,
   /// starting from the driver levels, with the Newton and Schur settings of
   /// \p options (newtonTol, maxNewtonIterations, schurMode,
-  /// schurIterativeMinCols); the loop stops once the step or its
-  /// contraction estimate is below newtonTol. The cells are evaluated at
-  /// their current state; \p array is not modified. \p voltages receives the line
+  /// schurIterativeMinCols). The cells are evaluated at their current
+  /// state; \p array is not modified. \p voltages receives the line
   /// voltages, word lines then bit lines. Throws nh::util::SolverError
   /// ("linenet.schur") when a Newton update's Schur solve fails.
   LineSolveResult solve(const CrossbarArray& array, const LineDrivers& drivers,

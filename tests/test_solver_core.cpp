@@ -24,7 +24,6 @@
 #include "util/multigrid.hpp"
 #include "util/rng.hpp"
 #include "util/sparse.hpp"
-#include "util/threadpool.hpp"
 #include "xbar/fastsim.hpp"
 #include "xbar/linenet.hpp"
 
@@ -995,11 +994,11 @@ TEST(FastEngineSchur, AllModesMatchTheSeedDensePath) {
   }
 }
 
-/// The dense Schur solve as it was assembled before the row blocks: word
-/// lines outer, each scattering its rank-1 update over the whole upper
+/// The dense Schur solve as it was assembled before the row-order loop:
+/// word lines outer, each scattering its rank-1 update over the whole upper
 /// triangle, then the same LU solve and back-substitution.
-Vector rowOuterSchurSolve(const Vector& d1, const Vector& d2, const Matrix& g,
-                          const Vector& r) {
+Vector wordLineOuterSchurSolve(const Vector& d1, const Vector& d2,
+                               const Matrix& g, const Vector& r) {
   const std::size_t n1 = d1.size();
   const std::size_t n2 = d2.size();
   Matrix schur(n2, n2, 0.0);
@@ -1034,37 +1033,24 @@ Vector rowOuterSchurSolve(const Vector& d1, const Vector& d2, const Matrix& g,
   return x;
 }
 
-TEST(SchurComplementSolver, RowBlockAssemblyMatchesRowOuterOracleBitForBit) {
-  // Below and above kSchurParallelMinCols columns, square and not. From the
-  // test thread the complement rows run on the shared pool (NH_THREADS
-  // executors; the test_solver_core_pool4 ctest entry pins 4); inside a
-  // pool task they run inline on one executor.
+TEST(SchurComplementSolver, RowOrderAssemblyMatchesWordLineOuterOracleBitForBit) {
+  // Square and not, from the 32x32 line network to the 128-column CG
+  // crossover.
   Rng rng(4242);
-  const std::size_t cross = nh::util::kSchurParallelMinCols;
-  for (const auto& [n1, n2] : {std::pair<std::size_t, std::size_t>{24, cross / 2},
-                               {40, cross - 1},
-                               {cross, cross},
-                               {80, cross + 1},
-                               {33, 2 * cross}}) {
+  for (const auto& [n1, n2] : {std::pair<std::size_t, std::size_t>{24, 32},
+                               {40, 63},
+                               {64, 64},
+                               {80, 65},
+                               {33, 128}}) {
     const BlockSystem sys = makeBlockSystem(rng, n1, n2);
-    const Vector want = rowOuterSchurSolve(sys.d1, sys.d2, sys.g, sys.r);
+    const Vector want = wordLineOuterSchurSolve(sys.d1, sys.d2, sys.g, sys.r);
 
-    nh::util::SchurComplementSolver pooled;
+    nh::util::SchurComplementSolver solver;
     Vector x;
-    ASSERT_TRUE(pooled.solve(sys.d1, sys.d2, sys.g, sys.r, x));
-    EXPECT_EQ(x, want) << n1 << "x" << n2 << " on the shared pool";
-    ASSERT_TRUE(pooled.solve(sys.d1, sys.d2, sys.g, sys.r, x));  // reused workspace
+    ASSERT_TRUE(solver.solve(sys.d1, sys.d2, sys.g, sys.r, x));
+    EXPECT_EQ(x, want) << n1 << "x" << n2;
+    ASSERT_TRUE(solver.solve(sys.d1, sys.d2, sys.g, sys.r, x));  // reused workspace
     EXPECT_EQ(x, want) << n1 << "x" << n2 << " repeated";
-
-    Vector inlineX;
-    bool inlineOk = false;
-    nh::util::ThreadPool::shared().submit([&] {
-      nh::util::SchurComplementSolver serial;
-      inlineOk = serial.solve(sys.d1, sys.d2, sys.g, sys.r, inlineX);
-    });
-    nh::util::ThreadPool::shared().wait();
-    ASSERT_TRUE(inlineOk);
-    EXPECT_EQ(inlineX, want) << n1 << "x" << n2 << " inline";
   }
 }
 
