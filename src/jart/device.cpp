@@ -36,44 +36,15 @@ void JartDevice::setAmbient(double t0) {
 }
 
 void JartDevice::advance(double v, double dt) {
-  lastNonConverged_ = 0;
-  if (dt <= 0.0) return;
-  const Params& p = model_.params();
-  const double window = p.nDiscMax - p.nDiscMin;
-  const double maxDeltaN = 0.01 * window;  // <= 1% of the window per substep
-  const double tau = p.tauThermal;
-
-  double remaining = dt;
-  while (remaining > 0.0) {
-    const double t = temperature();
-    const Conduction c = model_.solveConduction(v, nDisc_, t);
-    lastCurrent_ = c.current;
-    if (!c.converged) ++lastNonConverged_;
-    // Self-heating target (Eq. 6 without the crosstalk term, which is an
-    // externally supplied offset): dT_self -> RthEff * P.
-    const double selfTarget = p.rThEff * c.powerFilament;
-    const double rate = model_.ionicRate(c.vDisc, nDisc_, t);
-
-    // Substep: keep the state move small both absolutely (window fraction)
-    // and relatively (N enters the conduction path logarithmically, so the
-    // deep-HRS regime needs per-decade resolution), and resolve the thermal
-    // lag only while the temperature is actually transient (once it has
-    // settled the exact exponential update below is valid for any step).
-    double h = remaining;
-    if (std::fabs(selfTarget - selfExcessK_) > 0.5) h = std::min(h, tau * 0.5);
-    if (rate != 0.0) {
-      const double absRate = std::fabs(rate);
-      h = std::min(h, maxDeltaN / absRate);
-      h = std::min(h, 0.05 * nDisc_ / absRate);
+  advanceWith(dt, [&](double nDisc, double temperatureK) {
+    // solveConduction at 0 V returns zero current, V_disc and power; only
+    // its convergence flag needs the operating point to be finite.
+    if (v == 0.0 && std::isfinite(nDisc) && temperatureK > 0.0 &&
+        std::isfinite(temperatureK)) {
+      return Conduction{};
     }
-    h = std::max(h, remaining * 1e-9);  // guard against underflow
-    h = std::min(h, remaining);
-
-    selfExcessK_ += (selfTarget - selfExcessK_) * (1.0 - std::exp(-h / tau));
-    peakTemperatureK_ = std::max(peakTemperatureK_, temperature());
-    nDisc_ = std::clamp(nDisc_ + rate * h, p.nDiscMin, p.nDiscMax);
-    remaining -= h;
-  }
+    return model_.solveConduction(v, nDisc, temperatureK);
+  });
 }
 
 double JartDevice::readResistance(double readVoltage) const {

@@ -7,6 +7,8 @@
 /// temperature (out, to the crosstalk hub) and the additional crosstalk
 /// temperature (in, from the hub).
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "jart/model.hpp"
@@ -37,7 +39,17 @@ class JartDevice final : public nh::spice::MemristiveModel {
   nh::spice::CurrentAndConductance evaluate(double v) const override;
   /// Integrate N_disc and filament temperature over an accepted step.
   /// Substeps adaptively so state moves <= ~1% of the window per substep.
+  /// At v = 0 with a finite state and a positive finite temperature no
+  /// conduction solve runs: the solve's current, power and V_disc are
+  /// exactly zero there.
   void advance(double v, double dt) override;
+  /// advance() with the conduction operating point of each substep taken
+  /// from \p conduct(nDisc, temperatureK), which stands for the conduction
+  /// solve at the step's voltage; the rate and thermal update are
+  /// advance()'s. The fast engine
+  /// passes its zero-bias linearisation here (xbar/linenet.hpp).
+  template <typename Conduct>
+  void advanceWith(double dt, const Conduct& conduct);
   /// Conduction solves of the last advance() that did not converge.
   std::uint32_t lastAdvanceNonConverged() const { return lastNonConverged_; }
 
@@ -95,5 +107,47 @@ class JartDevice final : public nh::spice::MemristiveModel {
   double lastCurrent_ = 0.0;
   std::uint32_t lastNonConverged_ = 0;
 };
+
+template <typename Conduct>
+void JartDevice::advanceWith(double dt, const Conduct& conduct) {
+  lastNonConverged_ = 0;
+  if (dt <= 0.0) return;
+  const Params& p = model_.params();
+  const double window = p.nDiscMax - p.nDiscMin;
+  const double maxDeltaN = 0.01 * window;  // <= 1% of the window per substep
+  const double tau = p.tauThermal;
+
+  double remaining = dt;
+  while (remaining > 0.0) {
+    const double t = temperature();
+    const Conduction c = conduct(nDisc_, t);
+    lastCurrent_ = c.current;
+    if (!c.converged) ++lastNonConverged_;
+    // Self-heating target (Eq. 6 without the crosstalk term, which is an
+    // externally supplied offset): dT_self -> RthEff * P.
+    const double selfTarget = p.rThEff * c.powerFilament;
+    const double rate = model_.ionicRate(c.vDisc, nDisc_, t);
+
+    // Substep: keep the state move small both absolutely (window fraction)
+    // and relatively (N enters the conduction path logarithmically, so the
+    // deep-HRS regime needs per-decade resolution), and resolve the thermal
+    // lag only while the temperature is actually transient (once it has
+    // settled the exact exponential update below is valid for any step).
+    double h = remaining;
+    if (std::fabs(selfTarget - selfExcessK_) > 0.5) h = std::min(h, tau * 0.5);
+    if (rate != 0.0) {
+      const double absRate = std::fabs(rate);
+      h = std::min(h, maxDeltaN / absRate);
+      h = std::min(h, 0.05 * nDisc_ / absRate);
+    }
+    h = std::max(h, remaining * 1e-9);  // guard against underflow
+    h = std::min(h, remaining);
+
+    selfExcessK_ += (selfTarget - selfExcessK_) * (1.0 - std::exp(-h / tau));
+    peakTemperatureK_ = std::max(peakTemperatureK_, temperature());
+    nDisc_ = std::clamp(nDisc_ + rate * h, p.nDiscMin, p.nDiscMax);
+    remaining -= h;
+  }
+}
 
 }  // namespace nh::jart

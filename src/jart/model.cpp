@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "util/units.hpp"
@@ -68,6 +69,36 @@ double Model::schottkyCurrent(double vs, double nDisc, double temperatureK) cons
   double slope = 0.0;
   return schottkyBranch(params_, vs >= 0.0, normalisedState(nDisc), temperatureK)
       .current(vs, slope);
+}
+
+ZeroBias Model::zeroBias(double nDisc, double temperatureK) const {
+  const Params& p = params_;
+  const double x = normalisedState(nDisc);
+  ZeroBias out;
+  out.rDisc = p.discResistance(nDisc);
+  const double rOhmic = out.rDisc + p.plugResistance() + p.rSeries;
+  const double kT = kBoltzmannEv * temperatureK;
+  double vtMin = 0.0;
+  for (const bool forward : {true, false}) {
+    const SchottkyBranch b = schottkyBranch(p, forward, x, temperatureK);
+    // The slope solveConduction reads at vs = 0 (exp(0) = 1).
+    const double s = b.i0 * 1.0 / b.vt;
+    const double g = s / (1.0 + rOhmic * s);
+    const double phi = forward ? p.phiBarrier0 - p.phiLowering * x
+                               : std::max(p.phiBarrierRev - p.phiLowering * x, 0.02);
+    const double dgdT = g / (1.0 + rOhmic * s) *
+                        std::fabs(1.0 / temperatureK + phi / (kT * temperatureK));
+    (forward ? out.gForward : out.gReverse) = g;
+    out.curvature = std::max(out.curvature, b.i0 / (b.vt * b.vt));
+    out.dgdT = std::max(out.dgdT, dgdT);
+    vtMin = forward ? b.vt : std::min(vtMin, b.vt);
+  }
+  out.invVt = 1.0 / vtMin;
+  // std::max drops NaN: a non-finite operating point must not look linear.
+  if (!std::isfinite(out.gForward + out.gReverse + out.dgdT + vtMin)) {
+    out.curvature = std::numeric_limits<double>::quiet_NaN();
+  }
+  return out;
 }
 
 Conduction Model::solveConduction(double voltage, double nDisc,

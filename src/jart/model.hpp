@@ -24,6 +24,26 @@ struct Conduction {
   bool converged = true;        ///< Solve converged to a finite result.
 };
 
+/// Zero-bias linearisation of the conduction at fixed (N_disc, T): the two
+/// branch slopes at 0 V and what bounds the error of I = g * v. The terminal
+/// I(V) of the interface in series with R has |d2I/dV2| = |I_s''| /
+/// (1 + R I_s')^3 <= curvature * exp(|V| * invVt), so
+///   |I(v) - g(sign v) * v| <= v^2 / 2 * curvature * exp(|v| * invVt).
+struct ZeroBias {
+  double gForward = 0.0;    ///< dI/dV at 0+ (forward branch) [S].
+  double gReverse = 0.0;    ///< dI/dV at 0- (reverse branch) [S].
+  double curvature = 0.0;   ///< Larger branch i0 / vt^2 [A/V^2].
+  double invVt = 0.0;       ///< 1 / (smaller branch vt) [1/V].
+  /// Larger branch |dg/dT| [S/K]: g = s / (1 + R s) with s = i0 / vt, and
+  /// d ln s / dT = 1/T + phi / (k T^2).
+  double dgdT = 0.0;
+  double rDisc = 0.0;       ///< Disc resistance [Ohm] (V_disc = I * rDisc).
+
+  /// The slope of the branch \p v is on (forward at v = 0, as
+  /// Model::solveConduction's zero-bias conductance).
+  double conductance(double v) const { return v < 0.0 ? gReverse : gForward; }
+};
+
 /// Sign convention: V > 0 is the SET polarity (drives the cell toward LRS);
 /// V < 0 is the RESET polarity.
 class Model {
@@ -41,6 +61,10 @@ class Model {
   /// iteration uses the analytic interface derivative (one exp per
   /// iteration).
   Conduction solveConduction(double voltage, double nDisc, double temperatureK) const;
+
+  /// Zero-bias slopes and remainder constants at (N_disc, T). gForward is
+  /// bit-identical to solveConduction(0, nDisc, T).conductance.
+  ZeroBias zeroBias(double nDisc, double temperatureK) const;
 
   /// Schottky interface current at interface voltage \p vs [A].
   double schottkyCurrent(double vs, double nDisc, double temperatureK) const;

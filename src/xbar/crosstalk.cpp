@@ -149,6 +149,7 @@ CrosstalkHub::CrosstalkHub(std::size_t rows, std::size_t cols, AlphaTable table)
     for (long long dc = -radius; dc <= radius; ++dc) {
       const double a = table_.at(dr, dc);
       if (a != 0.0) taps_.push_back({dr, dc, a});
+      couplingSum_ += std::fabs(a);
     }
   }
 }
@@ -194,6 +195,45 @@ void CrosstalkHub::inputTemperatures(const nh::util::Matrix& excess,
                excess(static_cast<std::size_t>(jr), static_cast<std::size_t>(jc));
       }
       tin(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) = acc;
+    }
+  }
+}
+
+void CrosstalkHub::scatterActive(const nh::util::Matrix& excess, double floorK,
+                                 nh::util::Matrix& tin, std::size_t rowBegin,
+                                 std::size_t rowEnd) const {
+  if (excess.rows() != rows_ || excess.cols() != cols_) {
+    throw std::invalid_argument("CrosstalkHub: excess shape mismatch");
+  }
+  if (tin.rows() != rows_ || tin.cols() != cols_ || rowBegin > rowEnd ||
+      rowEnd > rows_) {
+    throw std::invalid_argument("CrosstalkHub: output shape or row range mismatch");
+  }
+  const auto cols = static_cast<long long>(cols_);
+  const auto begin = static_cast<long long>(rowBegin);
+  const auto end = static_cast<long long>(rowEnd);
+  for (long long r = begin; r < end; ++r) {
+    for (long long c = 0; c < cols; ++c) {
+      tin(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) = 0.0;
+    }
+  }
+  // A target's sources lie within the table radius of it. Each target sums
+  // its sources in row-major order, as the gather sums its taps; a skipped
+  // zero source only adds +0.0 there, which leaves a sum that started at
+  // +0.0 unchanged.
+  const long long radius = table_.radius();
+  const long long srcBegin = std::max(begin - radius, 0LL);
+  const long long srcEnd = std::min(end + radius, static_cast<long long>(rows_));
+  for (long long jr = srcBegin; jr < srcEnd; ++jr) {
+    for (long long jc = 0; jc < cols; ++jc) {
+      const double e = excess(static_cast<std::size_t>(jr), static_cast<std::size_t>(jc));
+      if (std::fabs(e) * couplingSum_ <= floorK) continue;
+      for (const Tap& tap : taps_) {
+        const long long r = jr - tap.dRow;
+        const long long c = jc - tap.dCol;
+        if (r < begin || r >= end || c < 0 || c >= cols) continue;
+        tin(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) += tap.alpha * e;
+      }
     }
   }
 }

@@ -83,6 +83,21 @@ class CrosstalkHub {
   void inputTemperatures(const nh::util::Matrix& excess, nh::util::Matrix& tin,
                          std::size_t rowBegin, std::size_t rowEnd) const;
 
+  /// Sum of |alpha| over the stencil's taps: no cell gathers more than
+  /// couplingSum() times the largest |excess| of its sources.
+  double couplingSum() const { return couplingSum_; }
+  /// Eq. 5 for rows [rowBegin, rowEnd) of \p tin (already rows x cols),
+  /// scattered from the active sources: a source is active unless
+  /// |excess| * couplingSum() <= \p floorK (so a NaN source is active), and
+  /// an inactive source changes no target by more than floorK in all.
+  /// Sources are visited in row-major order, the order the gather sums a
+  /// target's taps in, so with floorK = 0 (every nonzero source) every
+  /// output cell is bit-identical to inputTemperatures(). Disjoint row
+  /// ranges may run concurrently.
+  void scatterActive(const nh::util::Matrix& excess, double floorK,
+                     nh::util::Matrix& tin, std::size_t rowBegin,
+                     std::size_t rowEnd) const;
+
   /// Steady-state total excess temperature per cell for a static per-cell
   /// power map: excess_i = rth*P_i + sum_j alpha_ij * rth*P_j.
   nh::util::Matrix solveCoupledExcess(const nh::util::Matrix& cellPower,
@@ -102,6 +117,7 @@ class CrosstalkHub {
   /// The table's nonzero offsets in dRow-major, then dCol order: the order
   /// the stencil sum runs in.
   std::vector<Tap> taps_;
+  double couplingSum_ = 0.0;
 };
 
 }  // namespace nh::xbar

@@ -64,7 +64,7 @@ void FastEngine::refreshCrosstalk(const RowWork& rowWork) {
   // advance its own cells as soon as their inputs are set: no other block's
   // stencil sees the change.
   forRowBlocks([&](std::size_t begin, std::size_t end) {
-    hub_.inputTemperatures(selfExcess_, crosstalkIn_, begin, end);
+    hub_.scatterActive(selfExcess_, kHubSourceFloorK, crosstalkIn_, begin, end);
     for (std::size_t r = begin; r < end; ++r) {
       for (std::size_t c = 0; c < cols; ++c) {
         array_->cell(r, c).setCrosstalk(crosstalkIn_(r, c));
@@ -87,6 +87,7 @@ void FastEngine::solveNetwork() {
       network_.solve(*array_, drivers_, options_, lineVoltages_);
   newtonTotal_ += solved.newtonIterations;
   conductionNonConverged_ += solved.conductionNonConverged;
+  quiescentTotal_ += solved.quiescentEvaluations;
   if (!std::isfinite(solved.lastStep)) {
     throw nh::util::SolverError("fastsim.newton",
                                 "non-finite update in line-network solve",
@@ -99,12 +100,30 @@ void FastEngine::step(double h) {
   solveNetwork();
   const std::size_t rows = array_->rows();
   const std::size_t cols = array_->cols();
+  // The network solve just set the certificate budgets; without a network
+  // solve every budget is 0 and every cell takes the full solve.
+  QuiescentCells& quiescent = network_.quiescentCells();
+  rowQuiescent_.resize(rows);
   refreshCrosstalk([&](std::size_t r) {
     std::size_t nonConverged = 0;
+    std::size_t linear = 0;
     for (std::size_t c = 0; c < cols; ++c) {
       const double v = lineVoltages_[r] - lineVoltages_[rows + c];
       auto& device = array_->cell(r, c);
-      device.advance(v, h);
+      const double budget = quiescent.budget(r, c);
+      if (budget > 0.0) {
+        const jart::Model& model = device.model();
+        device.advanceWith(h, [&](double nDisc, double temperatureK) {
+          jart::Conduction lin;
+          if (quiescent.linearise(r, c, model, v, nDisc, temperatureK, budget, 0.0, lin)) {
+            ++linear;
+            return lin;
+          }
+          return model.solveConduction(v, nDisc, temperatureK);
+        });
+      } else {
+        device.advance(v, h);
+      }
       nonConverged += device.lastAdvanceNonConverged();
       // Energy accounting from the device's final conduction operating
       // point of this substep (quasi-static within a substep).
@@ -113,10 +132,12 @@ void FastEngine::step(double h) {
       energyByCell_(r, c) += e;
     }
     rowNonConverged_[r] = nonConverged;
+    rowQuiescent_[r] = linear;
   });
   // Serial sum in row-major order, the order of the cell-by-cell engine.
   for (const double e : cellScratch_) totalEnergy_ += e;
   addRowNonConverged();
+  for (const std::size_t n : rowQuiescent_) quiescentTotal_ += n;
   time_ += h;
 }
 

@@ -10,6 +10,13 @@
 /// Fig. 3 tractable; tests verify it against the unbatched engine and the
 /// full SPICE transient.
 ///
+/// Quiescent cells: a cell whose zero-bias linearisation the line-network
+/// solve certifies (QuiescentCells, xbar/linenet.hpp) is advanced with that
+/// linear current instead of a conduction solve, the idle gap runs no
+/// conduction solve at all (0 V), and the crosstalk hub scatters from the
+/// sources above kHubSourceFloorK only. See docs/kernels.md,
+/// "Quiescent-cell bypass".
+///
 /// Parallelism: from kParallelMinCells (1,024) cells up, the per-cell loops
 /// of one attack -- the Jacobian fill, the crosstalk gather and stencil, the
 /// device advance -- run in contiguous row blocks on the shared thread pool
@@ -33,6 +40,16 @@
 #include "xbar/scheme.hpp"
 
 namespace nh::xbar {
+
+/// Crosstalk sources whose self-heating excess times the table's coupling
+/// sum is at or below this [K] are left out of the hub update. Together
+/// they move no cell's crosstalk input by more than the floor. Through the
+/// Arrhenius factors (E_a / (k T^2) = 0.14 /K for the SET barrier at 300 K,
+/// about 0.045 /K for the interface current) 1e-8 K moves a switching rate
+/// by at most 1.4e-9 relative. An idle cell at |v| ~ 1e-5 V self-heats by
+/// about 1e-12 K, and a half-selected cell cools below the floor within a
+/// few tens of thermal time constants of its idle gap.
+inline constexpr double kHubSourceFloorK = 1e-8;
 
 struct FastEngineOptions {
   /// Crosstalk-hub refresh points per pulse.
@@ -129,6 +146,11 @@ class FastEngine {
   /// Line-network solves that left the Newton loop at maxNewtonIterations
   /// without meeting newtonTol. 0 on a healthy run.
   std::size_t newtonCapHitsTotal() const { return newtonCapHits_; }
+  /// Cell evaluations that took the certified zero-bias linearisation
+  /// (QuiescentCells, xbar/linenet.hpp) instead of a conduction solve: one
+  /// per cell of a Jacobian fill, one per substep of a device advance. 0
+  /// without a line-network solve.
+  std::size_t quiescentEvaluationsTotal() const { return quiescentTotal_; }
 
   /// Energy dissipated in the array since construction / resetEnergy() [J].
   /// Batched pulses contribute their extrapolated share, so the value is
@@ -163,6 +185,7 @@ class FastEngine {
   std::size_t newtonTotal_ = 0;
   std::size_t conductionNonConverged_ = 0;
   std::size_t newtonCapHits_ = 0;
+  std::size_t quiescentTotal_ = 0;
   double totalEnergy_ = 0.0;
   nh::util::Matrix energyByCell_;
   /// energyByCell_ before the last detailed pulse (batch replay).
@@ -172,9 +195,10 @@ class FastEngine {
   nh::util::Matrix crosstalkIn_;
   /// Results of the last row-block loop, reduced by a serial pass in
   /// row-major order: per cell, a substep's energy (totalEnergy_); per row,
-  /// the non-converged conduction solves.
+  /// the non-converged conduction solves and the linearised evaluations.
   std::vector<double> cellScratch_;
   std::vector<std::size_t> rowNonConverged_;
+  std::vector<std::size_t> rowQuiescent_;
 
   /// Line-network solver and its driver buffer, persistent across substeps
   /// and pulses so the million-pulse sweeps never reallocate them.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace nh::jart {
 namespace {
@@ -172,6 +173,72 @@ TEST(JartDevice, ZeroBiasConductanceIsForwardSlope) {
   EXPECT_GT(e.conductance, 0.0);
   EXPECT_TRUE(std::isfinite(e.conductance));
   EXPECT_TRUE(e.converged);
+}
+
+TEST(JartDevice, ReverseZeroBiasSlopeDiffersFromForward) {
+  // The two branches meet at 0 V with different slopes (0.87x at 300 K in
+  // deep HRS), so one forward slope is wrong at first order for v < 0.
+  const Model model(params());
+  const Params& p = model.params();
+  for (const double n : {p.nDiscMin, 1e25, p.nDiscMax}) {
+    for (const double t : {300.0, 400.0}) {
+      const ZeroBias z = model.zeroBias(n, t);
+      EXPECT_EQ(z.gForward, model.solveConduction(0.0, n, t).conductance);
+      EXPECT_LT(z.gReverse, 0.9 * z.gForward) << n << " " << t;
+      EXPECT_GT(z.gReverse, 0.5 * z.gForward) << n << " " << t;
+      EXPECT_EQ(z.conductance(-1e-5), z.gReverse);
+      EXPECT_EQ(z.conductance(0.0), z.gForward);
+      // The declared remainder bound holds on both branches.
+      for (const double v : {1e-5, -1e-5, 1e-4, -1e-4, 1e-3, -1e-3}) {
+        const double exact = model.solveConduction(v, n, t).current;
+        const double bound = 0.5 * v * v * z.curvature * std::exp(std::fabs(v) * z.invVt);
+        EXPECT_LE(std::fabs(exact - z.conductance(v) * v), bound) << n << " " << t << " " << v;
+      }
+    }
+  }
+  const double reverseShare = model.zeroBias(p.nDiscMin, 300.0).gReverse /
+                              model.zeroBias(p.nDiscMin, 300.0).gForward;
+  EXPECT_NEAR(reverseShare, 0.87, 0.01);
+}
+
+TEST(JartDevice, ZeroVoltAdvanceMatchesTheConductionSolve) {
+  // advance(0, dt) skips the solve; the solve at 0 V carries no current, so
+  // the state, temperatures and counters equal those of advancing with it.
+  for (const bool heated : {false, true}) {
+    JartDevice skipped(params(), 300.0);
+    skipped.setLrs();
+    if (heated) skipped.advance(0.525, 5e-9);
+    skipped.setCrosstalk(3.0);
+    JartDevice solved = skipped;
+    skipped.advance(0.0, 20e-9);
+    solved.advanceWith(20e-9, [&](double n, double t) {
+      return solved.model().solveConduction(0.0, n, t);
+    });
+    EXPECT_EQ(skipped.nDisc(), solved.nDisc());
+    EXPECT_EQ(skipped.temperature(), solved.temperature());
+    EXPECT_EQ(skipped.peakTemperature(), solved.peakTemperature());
+    EXPECT_EQ(skipped.lastCurrent(), solved.lastCurrent());
+    EXPECT_EQ(skipped.lastAdvanceNonConverged(), 0u);
+    EXPECT_EQ(solved.lastAdvanceNonConverged(), 0u);
+  }
+  // A NaN state or temperature takes the solve, which keeps its count: the
+  // NaN state is non-converged at 0 V.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const bool nanState : {true, false}) {
+    JartDevice skipped(params(), 300.0);
+    if (nanState) {
+      skipped.setNDisc(nan);
+    } else {
+      skipped.setCrosstalk(nan);
+    }
+    JartDevice solved = skipped;
+    skipped.advance(0.0, 10e-9);
+    solved.advanceWith(10e-9, [&](double n, double t) {
+      return solved.model().solveConduction(0.0, n, t);
+    });
+    EXPECT_EQ(skipped.lastAdvanceNonConverged(), solved.lastAdvanceNonConverged());
+    if (nanState) EXPECT_GT(skipped.lastAdvanceNonConverged(), 0u);
+  }
 }
 
 }  // namespace

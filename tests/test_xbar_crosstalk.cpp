@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "fem/geometry.hpp"
 #include "util/rng.hpp"
+#include "util/threadpool.hpp"
 
 namespace nh::xbar {
 namespace {
@@ -213,6 +217,85 @@ TEST(CrosstalkHub, TapListMatchesTableStencilBitForBit) {
     hub.inputTemperatures(excess, blocks, split, rows);
     hub.inputTemperatures(excess, blocks, 0, split);
     EXPECT_EQ(bitsOf(blocks), bitsOf(expected)) << "trial " << trial;
+  }
+}
+
+/// A FEM-shaped table: radius 3, couplings falling off with distance, a few
+/// offsets zero, word-line neighbours strongest (as fromExtraction gives).
+AlphaTable femShapedTable(util::Rng& rng) {
+  fem::AlphaResult extraction;
+  extraction.selectedRow = 3;
+  extraction.selectedCol = 3;
+  extraction.alpha.resize(7, 7, 0.0);
+  for (std::size_t r = 0; r < 7; ++r) {
+    for (std::size_t c = 0; c < 7; ++c) {
+      const double d = std::hypot(static_cast<double>(r) - 3.0, 1.4 * (static_cast<double>(c) - 3.0));
+      extraction.alpha(r, c) = rng.bernoulli(0.1) ? 0.0 : 0.3 * std::exp(-d) * rng.uniform(0.8, 1.2);
+    }
+  }
+  return AlphaTable::fromExtraction(extraction);
+}
+
+/// Random excess field: mostly zero, a few hot sources, some tiny ones.
+util::Matrix randomExcess(util::Rng& rng, std::size_t rows, std::size_t cols) {
+  util::Matrix excess(rows, cols, 0.0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const double u = rng.uniform();
+      if (u < 0.15) excess(r, c) = rng.uniform(0.0, 400.0);
+      else if (u < 0.4) excess(r, c) = rng.uniform(0.0, 1e-9);
+    }
+  }
+  return excess;
+}
+
+TEST(CrosstalkHub, ActiveScatterMatchesGatherBitForBit) {
+  // With every nonzero source active the scatter sums each target's sources
+  // in the gather's tap order: bit-identical on rows, columns, an array
+  // smaller than the table and a 64x64 array, analytic and FEM-shaped.
+  util::Rng rng = util::Rng::forStream(2026, 21);
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 9}, {1, 64}, {9, 1}, {64, 1}, {3, 3}, {2, 5}, {64, 64}};
+  for (int kind = 0; kind < 2; ++kind) {
+    const AlphaTable table = kind == 0 ? AlphaTable::analytic(30e-9) : femShapedTable(rng);
+    for (const auto& [rows, cols] : shapes) {
+      const CrosstalkHub hub(rows, cols, table);
+      const util::Matrix excess = randomExcess(rng, rows, cols);
+      util::Matrix scattered(rows, cols, -1.0);
+      hub.scatterActive(excess, 0.0, scattered, 0, rows);
+      EXPECT_EQ(bitsOf(scattered), bitsOf(hub.inputTemperatures(excess)))
+          << rows << "x" << cols << " table " << kind;
+    }
+  }
+}
+
+TEST(CrosstalkHub, ActiveScatterRowBlocksAreThreadInvariant) {
+  // Row blocks of the scatter on 1 and 4 threads fill the same bits as the
+  // whole-array call; a floor drops sources that move no target by more
+  // than the floor.
+  util::Rng rng = util::Rng::forStream(2026, 22);
+  const std::size_t n = 64;
+  const CrosstalkHub hub(n, n, femShapedTable(rng));
+  const util::Matrix excess = randomExcess(rng, n, n);
+  for (const double floorK : {0.0, 1e-8}) {
+    util::Matrix whole(n, n, 0.0);
+    hub.scatterActive(excess, floorK, whole, 0, n);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      util::Matrix blocks(n, n, -1.0);
+      const std::size_t block = 5;
+      util::parallelFor((n + block - 1) / block, [&](std::size_t b) {
+        hub.scatterActive(excess, floorK, blocks, b * block, std::min(n, (b + 1) * block));
+      }, threads);
+      EXPECT_EQ(bitsOf(blocks), bitsOf(whole)) << threads << " threads, floor " << floorK;
+    }
+    const util::Matrix gathered = hub.inputTemperatures(excess);
+    double worst = 0.0;
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < n; ++c) {
+        worst = std::max(worst, std::fabs(whole(r, c) - gathered(r, c)));
+      }
+    }
+    EXPECT_LE(worst, floorK + 1e-10) << "floor " << floorK;
   }
 }
 

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <string>
 
 #include "xbar/fastsim.hpp"
 #include "xbar/spicesim.hpp"
+
+#include "quiescent_envelope_cases.hpp"
 
 namespace nh::xbar {
 namespace {
@@ -249,6 +254,72 @@ TEST(FastEngine, NonFiniteDriveRaisesSolverErrorOnTheRowBlockPath) {
   FastEngine engine(array, AlphaTable::analytic(50e-9));
   EXPECT_THROW(engine.applyBias(bias, 10e-9), nh::util::SolverError);
   EXPECT_EQ(engine.conductionNonConvergedTotal(), 32u);
+}
+
+TEST(FastEngine, CountsQuiescentEvaluationsOnlyWithTheLineNetwork) {
+  // A 64x64 V/2 hammer leaves 3,969 cells idle at |v| ~ 1e-5 V: their fills
+  // and advances take the certified linear path. Ideal drivers give no
+  // budget, so every cell takes the full solve.
+  for (const bool network : {true, false}) {
+    ArrayConfig cfg;
+    cfg.rows = 64;
+    cfg.cols = 64;
+    CrossbarArray array(cfg);
+    array.setState(32, 32, CellState::Lrs);
+    FastEngineOptions opt;
+    opt.solveLineNetwork = network;
+    FastEngine engine(array, AlphaTable::analytic(50e-9), opt);
+    engine.applyPulse(selectBias(BiasScheme::Half, 64, 64, 32, 32, 1.05), 50e-9, 50e-9);
+    if (network) {
+      // At least the idle cells of every fill and every driven advance but
+      // the first fill: it sees them at exactly 0 V before any cache entry
+      // exists and takes the (exact) solve there.
+      const std::size_t idle = 63 * 63;
+      EXPECT_GE(engine.quiescentEvaluationsTotal(),
+                idle * (engine.newtonIterationsTotal() + opt.substepsPerPulse - 1));
+    } else {
+      EXPECT_EQ(engine.quiescentEvaluationsTotal(), 0u);
+    }
+    EXPECT_EQ(engine.conductionNonConvergedTotal(), 0u);
+  }
+}
+
+TEST(FastEngine, QuiescentBypassStaysInsideTheEnvelope) {
+  // Declared envelope against the engine without the bypass (outcomes
+  // recorded from it below): pulses-to-flip within +-1 pulse, the victim's
+  // normalised state within 1e-6.
+  constexpr long long kPulseEnvelope = 1;
+  constexpr double kStateEnvelope = 1e-6;
+  const envelope::Outcome recorded[] = {
+    {35, 0.50514616446257143},  // 5x5 V/2 LRS 0.0
+    {35, 0.50558139922067569},  // 5x5 V/2 LRS 0.3
+    {1140, 0.50290462980546125},  // 5x5 V/3 LRS 0.0
+    {628, 0.50342735450716203},  // 5x5 V/3 LRS 0.3
+    {35, 0.50519676020969784},  // 12x12 V/2 LRS 0.0
+    {22, 0.5004891063077006},  // 12x12 V/2 LRS 0.2
+    {735, 0.50493062957074553},  // 12x12 V/3 LRS 0.2
+    {237, 0.50528719518948273},  // 24x24 V/2 LRS 0.0
+    {28, 0.50914474072984084},  // 24x24 V/2 LRS 0.2
+    {1141, 0.50290446496232799},  // 24x24 V/3 LRS 0.0
+    {24, 0.50250369095560543},  // 40x40 V/2 LRS 0.1
+    {36, 0.50659565228754533},  // 64x64 V/2 LRS 0.0
+    {28, 0.50166550794194442},  // 64x64 V/2 LRS 0.1
+    {708, 0.50694304394470702},  // 64x64 V/3 LRS 0.1
+  };
+  ASSERT_EQ(std::size(recorded), std::size(envelope::kCases));
+  std::uint64_t stream = 0;
+  for (const envelope::Case& k : envelope::kCases) {
+    const envelope::Outcome& ref = recorded[stream];
+    const envelope::Outcome got = envelope::run(k, stream);
+    const std::string what = "case " + std::to_string(stream) + ": " +
+                             std::to_string(k.n) + "x" + std::to_string(k.n);
+    EXPECT_LE(std::llabs(static_cast<long long>(got.pulses) -
+                         static_cast<long long>(ref.pulses)),
+              kPulseEnvelope)
+        << what;
+    EXPECT_NEAR(got.victimState, ref.victimState, kStateEnvelope) << what;
+    ++stream;
+  }
 }
 
 TEST(FastEngine, OptionValidation) {

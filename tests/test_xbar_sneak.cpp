@@ -194,18 +194,21 @@ TEST(LineNetworkSolver, ContractionStopLandsWithinNewtonTolOfDenseOracle) {
   // within newtonTol of the dense-Jacobian Newton, and the estimate that
   // stopped it is below newtonTol.
   const double tol = FastEngineOptions{}.newtonTol;
-  const std::pair<std::size_t, std::size_t> shapes[] = {{3, 3}, {4, 7}, {8, 8}, {11, 6},
-                                                        {16, 16}};
+  // The 32x32 and 64x64 arrays, one with a sparse LRS mix, are where the
+  // quiescent-cell bypass engages: the oracle evaluates every cell in full.
+  const std::pair<std::size_t, std::size_t> shapes[] = {{3, 3},   {4, 7},   {8, 8}, {11, 6},
+                                                        {16, 16}, {32, 32}, {64, 64}};
   std::uint64_t stream = 0;
   std::size_t solves = 0;
   std::size_t contractionStops = 0;
+  std::size_t linearised = 0;
   for (const auto& [rows, cols] : shapes) {
     util::Rng rng = util::Rng::forStream(77, stream++);
     ArrayConfig cfg;
     cfg.rows = rows;
     cfg.cols = cols;
     CrossbarArray array(cfg);
-    const double lrsFraction = rng.uniform(0.1, 0.9);
+    const double lrsFraction = rows == 64 ? 0.05 : rng.uniform(0.1, 0.9);
     for (std::size_t r = 0; r < rows; ++r) {
       for (std::size_t c = 0; c < cols; ++c) {
         array.setState(r, c, rng.uniform() < lrsFraction ? CellState::Lrs : CellState::Hrs);
@@ -235,6 +238,7 @@ TEST(LineNetworkSolver, ContractionStopLandsWithinNewtonTolOfDenseOracle) {
         ASSERT_TRUE(solved.converged()) << what;
         EXPECT_LT(solved.errorEstimate, tol) << what;
         if (solved.lastStep >= tol) ++contractionStops;
+        linearised += solved.quiescentEvaluations;
         const util::Vector ref = oracle::denseLineNewton(array, drivers);
         ASSERT_EQ(voltages.size(), ref.size()) << what;
         for (std::size_t i = 0; i < ref.size(); ++i) {
@@ -248,6 +252,99 @@ TEST(LineNetworkSolver, ContractionStopLandsWithinNewtonTolOfDenseOracle) {
   // Some solves stop on the estimate with their last step still above
   // newtonTol, so the oracle check above covers that stop.
   EXPECT_GT(contractionStops, 0u);
+  EXPECT_GT(linearised, 0u);
+}
+
+/// Every line of an n x n array driven through the configured driver.
+LineDrivers drivenLines(const CrossbarArray& array, double level) {
+  const std::size_t lines = array.rows() + array.cols();
+  return {util::Vector(lines, level),
+          util::Vector(lines, 1.0 / array.config().driverResistance)};
+}
+
+TEST(QuiescentCells, BudgetIsOnePercentOfTheLineToleranceSharedByItsCells) {
+  CrossbarArray array(config(64));
+  QuiescentCells cells;
+  EXPECT_EQ(cells.budget(0, 0), 0.0);  // no solve yet
+  LineDrivers drivers = drivenLines(array, 0.0);
+  drivers.conductance[3] = 0.0;        // word line 3 floats
+  cells.setBudgets(array, drivers, 1e-9);
+  const double expected = 0.01 * 1e-9 * (1.0 / 50.0) / 64.0;
+  EXPECT_DOUBLE_EQ(cells.budget(0, 0), expected);
+  EXPECT_DOUBLE_EQ(cells.budget(63, 17), expected);
+  EXPECT_EQ(cells.budget(3, 17), 0.0);
+}
+
+TEST(QuiescentCells, CertifiesIdleHrsButNotLrsAt1e4V) {
+  // Deep HRS at 1e-5 V leaves a remainder of ~5e-18 A against the 64-cell
+  // budget of 3.1e-15 A; LRS at 1e-4 V leaves ~3e-13 A.
+  CrossbarArray array(config(64));
+  array.setState(5, 5, CellState::Lrs);
+  QuiescentCells cells;
+  cells.setBudgets(array, drivenLines(array, 1.0), 1e-9);
+  const auto lin = [&](std::size_t r, std::size_t c, double v, jart::Conduction& out) {
+    const auto& d = array.cell(r, c);
+    return cells.linearise(r, c, d.model(), v, d.nDisc(), d.temperature(),
+                           cells.budget(r, c), 0.0, out);
+  };
+  const auto& hrs = array.cell(0, 0);
+  const jart::ZeroBias z = hrs.model().zeroBias(hrs.nDisc(), hrs.temperature());
+  for (const double v : {1e-5, -1e-5, 0.0}) {
+    jart::Conduction out;
+    ASSERT_TRUE(lin(0, 0, v, out)) << v;
+    EXPECT_EQ(out.current, z.conductance(v) * v);
+    EXPECT_EQ(out.conductance, z.conductance(v));
+    EXPECT_EQ(out.vDisc, out.current * z.rDisc);
+    EXPECT_NEAR(out.current, hrs.current(v), cells.budget(0, 0));
+    EXPECT_TRUE(out.converged);
+  }
+  jart::Conduction out;
+  EXPECT_FALSE(lin(5, 5, 1e-4, out));
+  EXPECT_FALSE(lin(5, 5, -1e-4, out));
+  EXPECT_FALSE(lin(0, 0, 0.1, out));
+}
+
+TEST(QuiescentCells, NanStateOrVoltageIsNeverCertified) {
+  CrossbarArray array(config(64));
+  QuiescentCells cells;
+  cells.setBudgets(array, drivenLines(array, 1.0), 1e-9);
+  const auto& d = array.cell(1, 1);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double budget = cells.budget(1, 1);
+  jart::Conduction out;
+  EXPECT_TRUE(cells.linearise(1, 1, d.model(), 1e-6, d.nDisc(), d.temperature(), budget, 0.0, out));
+  EXPECT_FALSE(cells.linearise(1, 1, d.model(), nan, d.nDisc(), d.temperature(), budget, 0.0, out));
+  EXPECT_FALSE(cells.linearise(1, 1, d.model(), 1e-6, nan, d.temperature(), budget, 0.0, out));
+  EXPECT_FALSE(cells.linearise(1, 1, d.model(), 1e-6, d.nDisc(), nan, budget, 0.0, out));
+  EXPECT_FALSE(cells.linearise(1, 1, d.model(), 0.0, nan, nan, budget, 0.0, out));
+  // The poisoned entry is recomputed, not reused.
+  EXPECT_TRUE(cells.linearise(1, 1, d.model(), 1e-6, d.nDisc(), d.temperature(), budget, 0.0, out));
+}
+
+TEST(QuiescentCells, FloatingLinesNeverBypass) {
+  // With floating unselected lines only the selected cell has two drivers;
+  // every other cell sits on a line without a budget and takes the full
+  // solve. The same array read under V/2 linearises its idle cells.
+  CrossbarArray array(config(32));
+  for (const ReadScheme scheme : {ReadScheme::FloatingLines, ReadScheme::HalfBias}) {
+    const double gDrv = 1.0 / array.config().driverResistance;
+    LineDrivers drivers{util::Vector(64, 0.1),
+                        util::Vector(64, scheme == ReadScheme::HalfBias ? gDrv : 0.0)};
+    drivers.level[4] = 0.2;
+    drivers.conductance[4] = gDrv;
+    drivers.level[32 + 9] = 0.0;
+    drivers.conductance[32 + 9] = gDrv;
+    LineNetworkSolver solver;
+    util::Vector voltages;
+    const LineSolveResult solved =
+        solver.solve(array, drivers, FastEngineOptions{}, voltages);
+    ASSERT_TRUE(solved.converged());
+    if (scheme == ReadScheme::FloatingLines) {
+      EXPECT_EQ(solved.quiescentEvaluations, 0u);
+    } else {
+      EXPECT_GT(solved.quiescentEvaluations, 0u);
+    }
+  }
 }
 
 TEST(Sneak, NonFiniteReadThrowsSolverError) {
