@@ -706,11 +706,10 @@ void BM_CrossbarDcMna(benchmark::State& state) {
                              &models[r * m + c]);
     }
   }
-  const NewtonOptions opt;
   std::size_t iterations = 0;
   std::size_t unknowns = 0;
   for (auto _ : state) {
-    const SolveResult result = solveDc(ckt, opt);
+    const SolveResult result = solveDc(ckt);
     iterations = result.iterations;
     unknowns = result.x.size();
     benchmark::DoNotOptimize(result.x);

@@ -51,10 +51,6 @@ StudyConfig studyConfigFrom(const nh::util::Config& config) {
   return out;
 }
 
-StudyConfig studyConfigFromFile(const std::filesystem::path& path) {
-  return studyConfigFrom(nh::util::Config::load(path));
-}
-
 AttackConfig attackConfigFrom(const nh::util::Config& config, std::size_t rows,
                               std::size_t cols) {
   AttackConfig out;

@@ -22,8 +22,6 @@
 ///   duty = 0.5
 ///   max_pulses = 1000000
 
-#include <filesystem>
-
 #include "core/study.hpp"
 #include "util/config.hpp"
 
@@ -32,7 +30,6 @@ namespace nh::core {
 /// Build a StudyConfig from a parsed INI config. Unknown keys are ignored;
 /// malformed values throw (std::invalid_argument from the config layer).
 StudyConfig studyConfigFrom(const nh::util::Config& config);
-StudyConfig studyConfigFromFile(const std::filesystem::path& path);
 
 /// Build the attack description (pattern, pulse, budget) for a study of the
 /// given dimensions. The victim is the array centre.

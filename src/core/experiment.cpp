@@ -239,8 +239,10 @@ std::uint64_t hashStudyConfig(std::uint64_t h, const StudyConfig& c) {
       static_cast<double>(f.multigridMinVoxels),
       // xbar::FastEngineOptions
       static_cast<double>(e.substepsPerPulse), e.solveLineNetwork ? 1.0 : 0.0,
-      e.relaxBetweenPulses ? 1.0 : 0.0, e.enableBatching ? 1.0 : 0.0,
-      e.batchDriftLimit, static_cast<double>(e.maxBatch), e.newtonTol,
+      1.0,  // the retired relaxBetweenPulses slot (the idle gap always relaxes)
+      e.enableBatching ? 1.0 : 0.0, e.batchDriftLimit,
+      static_cast<double>(xbar::kMaxBatch),  // the former maxBatch slot
+      e.newtonTol,
       static_cast<double>(e.maxNewtonIterations),
       1.0,  // the retired useSchurSolve slot, kept so digests stay stable
       static_cast<double>(e.schurMode),
@@ -714,13 +716,6 @@ ExperimentResult runExperiment(const ExperimentSpec& spec,
             spec.columns[c].name + "'");
       }
     }
-    std::string where;
-    for (std::size_t ai = 0; ai < axes.size(); ++ai) {
-      where += (ai ? " " : "") + axes[ai].name + "=" +
-               nh::util::formatDouble(ctx.values[ai]);
-    }
-    nh::util::logInfo(spec.name, ": ", where, " done (point ", i + 1, "/",
-                      pointCount, ")");
     return row;
   };
 
@@ -810,10 +805,6 @@ std::filesystem::path defaultResultsDir() {
     return std::filesystem::path(env);
   }
   return std::filesystem::path("bench_results");
-}
-
-std::filesystem::path defaultCheckpointDir() {
-  return defaultResultsDir() / "checkpoints";
 }
 
 std::filesystem::path checkpointPath(const std::filesystem::path& dir,

@@ -367,9 +367,6 @@ void setStudyCacheCapacity(std::size_t capacity);
 /// CLI and the library callers share.
 std::filesystem::path defaultResultsDir();
 
-/// Where checkpoints land by default: defaultResultsDir()/checkpoints.
-std::filesystem::path defaultCheckpointDir();
-
 /// The checkpoint file runExperiment reads/writes for experiment \p name
 /// inside \p dir: <dir>/<name>.json. The file records the config digest;
 /// resume ignores (and overwrites) checkpoints whose digest mismatches.

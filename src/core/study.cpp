@@ -6,7 +6,6 @@
 #include <string>
 
 #include "fem/geometry.hpp"
-#include "util/log.hpp"
 
 namespace nh::core {
 
@@ -39,15 +38,6 @@ AttackStudy::AttackStudy(StudyConfig config) : config_(std::move(config)) {
     const auto extraction =
         fem::extractCentreAlpha(layout, config_.ambientK, config_.femOptions);
     alphas_ = xbar::AlphaTable::fromExtraction(extraction);
-    std::string iterations;
-    for (const std::size_t n : extraction.cgIterations) {
-      if (!iterations.empty()) iterations += '/';
-      iterations += std::to_string(n);
-    }
-    nh::util::logInfo("AttackStudy: FEM alphas extracted, Rth=", extraction.rTh,
-                      " K/W, nearest alpha=", alphas_.at(0, 1),
-                      ", CG iterations per power point=", iterations,
-                      " on ", extraction.solvedVoxels, " voxels");
   } else {
     alphas_ = xbar::AlphaTable::analytic(config_.spacing);
   }

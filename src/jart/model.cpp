@@ -22,11 +22,11 @@ struct SchottkyBranch {
   double dir;  ///< +1 forward, -1 reverse.
 
   /// Current at interface voltage \p vs; writes the analytic dI/dvs (0 past
-  /// the exponent clamp) to \p slope.
+  /// the exponent clamp, NaN for a NaN argument) to \p slope.
   double current(double vs, double& slope) const {
     const double arg = dir * vs / vt;
     const double e = std::exp(std::min(arg, 60.0));
-    slope = arg < 60.0 ? i0 * e / vt : 0.0;
+    slope = arg >= 60.0 ? 0.0 : i0 * e / vt;
     return dir * i0 * (e - 1.0);
   }
 };

@@ -15,6 +15,15 @@ namespace {
 using nh::util::Matrix;
 using nh::util::Vector;
 
+/// Newton controls (see NewtonOptions): the iteration cap, the absolute and
+/// relative update tolerances, and the per-iteration voltage-update limiter.
+constexpr std::size_t kMaxNewtonIterations = 100;
+constexpr double kAbsTol = 1e-9;         // [V]
+constexpr double kRelTol = 1e-6;
+constexpr double kMaxStepVoltage = 0.5;  // [V]
+/// Transient step floor: a run whose step shrinks below it fails [s].
+constexpr double kDtMin = 1e-15;
+
 /// Newton solver with persistent storage and LU reuse. One engine lives for
 /// a whole analysis (every timestep of a transient), so the Jacobian, the
 /// right-hand side, and the factorisation survive between solves. Linear
@@ -24,14 +33,15 @@ using nh::util::Vector;
 /// and re-factor on every Newton iteration.
 class NewtonEngine {
  public:
+  /// \p initialGuess holds circuit.unknownCount() entries.
   SolveResult solve(Circuit& circuit, double time, double dt, bool transient,
-                    const Vector& xPrev, const NewtonOptions& options,
+                    const Vector& xPrev, bool reuseFactorization,
                     const Vector& initialGuess) {
     const std::size_t n = circuit.unknownCount();
     const std::size_t nodeUnknowns = circuit.nodeCount() - 1;
 
     SolveResult result;
-    result.x = initialGuess.size() == n ? initialGuess : Vector(n, 0.0);
+    result.x = initialGuess;
 
     if (n != sysN_) {
       sysN_ = n;
@@ -40,13 +50,13 @@ class NewtonEngine {
       jacobian_.resize(n, n, 0.0);
     }
     if (!circuit.hasNonlinear()) {
-      const bool frozenLuUsable = options.reuseFactorization && luValid_ &&
+      const bool frozenLuUsable = reuseFactorization && luValid_ &&
                                   dt == luDt_ && transient == luTransient_;
       return solveLinear(circuit, time, dt, transient, xPrev, frozenLuUsable,
                          std::move(result), nodeUnknowns);
     }
-    return solveNewton(circuit, time, dt, transient, xPrev, options,
-                       std::move(result), nodeUnknowns);
+    return solveNewton(circuit, time, dt, transient, xPrev, std::move(result),
+                       nodeUnknowns);
   }
 
  private:
@@ -65,7 +75,7 @@ class NewtonEngine {
     for (const auto& e : circuit.elements()) e->stamp(ctx);
     if (!reuseLu) {
       // gmin from every node to ground keeps otherwise-floating nodes defined.
-      stampGmin(circuit.gmin(), nodeUnknowns);
+      stampGmin(nodeUnknowns);
       if (!lu_.refactor(jacobian_)) {
         luValid_ = false;
         result.converged = false;
@@ -79,22 +89,17 @@ class NewtonEngine {
     // sequence as solve(), without the per-step allocation.
     xNew_.assign(rhs_.begin(), rhs_.end());
     lu_.solveInPlace(xNew_);
-    double maxUpdate = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double delta = xNew_[i] - result.x[i];
-      result.x[i] += delta;
-      if (i < nodeUnknowns) maxUpdate = std::max(maxUpdate, std::fabs(delta));
-    }
+    // x + (xNew - x) rounds differently from xNew; the update form keeps
+    // the transient's recorded series unchanged.
+    for (std::size_t i = 0; i < n; ++i) result.x[i] += xNew_[i] - result.x[i];
     result.iterations = 1;
-    result.maxUpdate = maxUpdate;
     result.converged = true;
     return result;
   }
 
   SolveResult solveNewton(Circuit& circuit, double time, double dt,
                           bool transient, const Vector& xPrev,
-                          const NewtonOptions& options, SolveResult result,
-                          std::size_t nodeUnknowns) {
+                          SolveResult result, std::size_t nodeUnknowns) {
     const std::size_t n = sysN_;
 
     // Fault site: tests force a non-converged Newton solve to exercise the
@@ -104,7 +109,7 @@ class NewtonEngine {
       return result;
     }
 
-    for (std::size_t iter = 0; iter < options.maxIterations; ++iter) {
+    for (std::size_t iter = 0; iter < kMaxNewtonIterations; ++iter) {
       nh::util::checkCancellation("newton iteration");
       jacobian_.fill(0.0);
       std::fill(rhs_.begin(), rhs_.end(), 0.0);
@@ -112,7 +117,7 @@ class NewtonEngine {
       StampContext ctx{jacobian_, rhs_, result.x, xPrev, time, dt, transient};
       for (const auto& e : circuit.elements()) e->stamp(ctx);
       // gmin from every node to ground keeps otherwise-floating nodes defined.
-      stampGmin(circuit.gmin(), nodeUnknowns);
+      stampGmin(nodeUnknowns);
 
       // Factor every iteration and solve the companion system for the next
       // iterate directly. The persistent lu_/xNew_ avoid per-iteration
@@ -131,14 +136,12 @@ class NewtonEngine {
       for (std::size_t i = 0; i < n; ++i) {
         double delta = xNew_[i] - result.x[i];
         if (i < nodeUnknowns) {
-          delta = std::clamp(delta, -options.maxStepVoltage,
-                             options.maxStepVoltage);
+          delta = std::clamp(delta, -kMaxStepVoltage, kMaxStepVoltage);
           maxUpdate = std::max(maxUpdate, std::fabs(delta));
         }
         result.x[i] += delta;
       }
       result.iterations = iter + 1;
-      result.maxUpdate = maxUpdate;
       // NaN/Inf guard: a poisoned update can never meet the tolerance, so
       // iterating to the cap just burns factorisations -- fail fast and let
       // the caller (timestep control, per-point isolation) recover.
@@ -146,10 +149,9 @@ class NewtonEngine {
         result.converged = false;
         return result;
       }
-      double tolerance = options.absTol;
+      double tolerance = kAbsTol;
       for (std::size_t i = 0; i < nodeUnknowns; ++i) {
-        tolerance = std::max(
-            tolerance, options.absTol + options.relTol * std::fabs(result.x[i]));
+        tolerance = std::max(tolerance, kAbsTol + kRelTol * std::fabs(result.x[i]));
       }
       if (maxUpdate < tolerance) {
         result.converged = true;
@@ -161,8 +163,8 @@ class NewtonEngine {
   }
 
   /// gmin from every node to ground, added after the element stamps.
-  void stampGmin(double gmin, std::size_t nodeUnknowns) {
-    for (std::size_t i = 0; i < nodeUnknowns; ++i) jacobian_(i, i) += gmin;
+  void stampGmin(std::size_t nodeUnknowns) {
+    for (std::size_t i = 0; i < nodeUnknowns; ++i) jacobian_(i, i) += kGmin;
   }
 
   Matrix jacobian_;
@@ -175,34 +177,22 @@ class NewtonEngine {
   bool luTransient_ = false;
 };
 
-/// One Newton solve of the MNA system at a fixed (time, dt) without
-/// cross-call reuse (DC operating points, one-shot callers).
-SolveResult newtonSolve(Circuit& circuit, double time, double dt, bool transient,
-                        const Vector& xPrev, const NewtonOptions& options,
-                        const Vector& initialGuess) {
-  NewtonEngine engine;
-  return engine.solve(circuit, time, dt, transient, xPrev, options, initialGuess);
-}
-
 }  // namespace
 
-SolveResult solveDc(Circuit& circuit, const NewtonOptions& options,
-                    const Vector& initialGuess) {
+SolveResult solveDc(Circuit& circuit) {
   circuit.finalize();
-  const Vector xPrev(circuit.unknownCount(), 0.0);
-  return newtonSolve(circuit, /*time=*/0.0, /*dt=*/0.0, /*transient=*/false,
-                     xPrev, options, initialGuess);
-}
-
-std::size_t TransientResult::seriesIndex(const std::string& label) const {
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (labels[i] == label) return i;
-  }
-  throw std::out_of_range("TransientResult: no series '" + label + "'");
+  const Vector zero(circuit.unknownCount(), 0.0);
+  // A fresh engine holds no factorisation, so there is nothing to reuse.
+  NewtonEngine engine;
+  return engine.solve(circuit, /*time=*/0.0, /*dt=*/0.0, /*transient=*/false,
+                      zero, /*reuseFactorization=*/false, zero);
 }
 
 const std::vector<double>& TransientResult::seriesFor(const std::string& label) const {
-  return series[seriesIndex(label)];
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    if (labels[i] == label) return series[i];
+  }
+  throw std::out_of_range("TransientResult: no series '" + label + "'");
 }
 
 TransientResult runTransient(Circuit& circuit, const TransientOptions& options,
@@ -218,7 +208,7 @@ TransientResult runTransient(Circuit& circuit, const TransientOptions& options,
   result.series.assign(probes.size(), {});
 
   // Initial condition: DC operating point at t = 0.
-  SolveResult op = solveDc(circuit, options.newton);
+  SolveResult op = solveDc(circuit);
   if (!op.converged) {
     result.failureReason = "initial DC operating point did not converge";
     return result;
@@ -242,17 +232,16 @@ TransientResult runTransient(Circuit& circuit, const TransientOptions& options,
   while (t < options.tStop - 1e-18) {
     nh::util::checkCancellation("transient step");
     double step = std::min(dt, options.tStop - t);
-    if (options.alignToBreakpoints) {
-      const double bp = circuit.nextBreakpoint(t + 1e-18);
-      if (bp > t && bp < t + step) step = bp - t;
-    }
+    const double bp = circuit.nextBreakpoint(t + 1e-18);
+    if (bp > t && bp < t + step) step = bp - t;
 
     const SolveResult sr = engine.solve(circuit, t + step, step,
-                                        /*transient=*/true, x, options.newton, x);
+                                        /*transient=*/true, x,
+                                        options.newton.reuseFactorization, x);
     if (!sr.converged) {
       // Convergence failure: shrink the step and retry.
       dt *= 0.25;
-      if (dt < options.dtMin) {
+      if (dt < kDtMin) {
         result.failureReason = "timestep underflow at t=" + std::to_string(t);
         return result;
       }
@@ -270,7 +259,7 @@ TransientResult runTransient(Circuit& circuit, const TransientOptions& options,
     if (sr.iterations <= 5) {
       dt = std::min(dt * 1.5, options.dtMax);
     } else if (sr.iterations > 20) {
-      dt = std::max(dt * 0.5, options.dtMin);
+      dt = std::max(dt * 0.5, kDtMin);
     }
   }
   result.completed = true;
@@ -281,17 +270,6 @@ Probe probeNodeVoltage(const Circuit& circuit, const std::string& nodeName) {
   const NodeId id = circuit.findNode(nodeName);
   return Probe{"v(" + nodeName + ")", [id](const Vector& x, double) {
                  return id == 0 ? 0.0 : x[id - 1];
-               }};
-}
-
-Probe probeDifferentialVoltage(const Circuit& circuit, const std::string& nodeA,
-                               const std::string& nodeB) {
-  const NodeId a = circuit.findNode(nodeA);
-  const NodeId b = circuit.findNode(nodeB);
-  return Probe{"v(" + nodeA + "," + nodeB + ")", [a, b](const Vector& x, double) {
-                 const double va = a == 0 ? 0.0 : x[a - 1];
-                 const double vb = b == 0 ? 0.0 : x[b - 1];
-                 return va - vb;
                }};
 }
 

@@ -13,12 +13,10 @@
 
 namespace nh::spice {
 
-/// Newton-Raphson controls.
+/// Newton-Raphson controls. A solve runs at most 100 iterations, clamps
+/// each node-voltage update to 0.5 V, and converges once the largest update
+/// is below 1e-9 V + 1e-6 * |v| of the largest node voltage.
 struct NewtonOptions {
-  std::size_t maxIterations = 100;
-  double absTol = 1e-9;        ///< Absolute voltage tolerance [V].
-  double relTol = 1e-6;        ///< Relative voltage tolerance.
-  double maxStepVoltage = 0.5; ///< Per-iteration voltage-update limiter [V].
   /// Linear circuits only: factor once per (dt, analysis) and skip the
   /// matrix re-stamp while the Jacobian is frozen -- bit-identical to
   /// re-factoring. Nonlinear circuits re-factor on every Newton iteration
@@ -31,14 +29,12 @@ struct NewtonOptions {
 struct SolveResult {
   bool converged = false;
   std::size_t iterations = 0;
-  double maxUpdate = 0.0;  ///< Largest |delta-x| on the last iteration.
   nh::util::Vector x;      ///< Solution (node voltages then branch currents).
 };
 
 /// DC operating point: solves the nonlinear MNA system at time 0 with
-/// capacitors open. \p initialGuess may be empty (starts from zero).
-SolveResult solveDc(Circuit& circuit, const NewtonOptions& options = {},
-                    const nh::util::Vector& initialGuess = {});
+/// capacitors open, starting from zero.
+SolveResult solveDc(Circuit& circuit);
 
 /// A probe records one scalar per accepted transient step.
 struct Probe {
@@ -46,14 +42,13 @@ struct Probe {
   std::function<double(const nh::util::Vector& x, double time)> extract;
 };
 
-/// Transient controls.
+/// Transient controls. Steps are clipped to waveform edges, and a step
+/// that shrinks below 1e-15 s fails the run.
 struct TransientOptions {
   double tStop = 0.0;          ///< End time [s]. Required.
   double dtInitial = 1e-10;    ///< First step [s].
   double dtMax = 1e-9;         ///< Ceiling [s].
-  double dtMin = 1e-15;        ///< Floor before declaring failure [s].
   NewtonOptions newton;
-  bool alignToBreakpoints = true;  ///< Clip steps to waveform edges.
   /// Invoked after every accepted step (x, time, dt). Used for inter-element
   /// couplings outside the MNA system -- the crosstalk hub exchanges
   /// filament temperatures between memristor models here, mirroring the
@@ -69,8 +64,7 @@ struct TransientResult {
   std::vector<std::string> labels;
   std::vector<std::vector<double>> series;  ///< series[p][k] at time[k].
 
-  /// Series index for \p label; throws std::out_of_range when absent.
-  std::size_t seriesIndex(const std::string& label) const;
+  /// Series for \p label; throws std::out_of_range when absent.
   const std::vector<double>& seriesFor(const std::string& label) const;
 };
 
@@ -79,9 +73,7 @@ struct TransientResult {
 TransientResult runTransient(Circuit& circuit, const TransientOptions& options,
                              const std::vector<Probe>& probes = {});
 
-/// Convenience probe factories.
+/// Probe of one node's voltage, labelled "v(<nodeName>)".
 Probe probeNodeVoltage(const Circuit& circuit, const std::string& nodeName);
-Probe probeDifferentialVoltage(const Circuit& circuit, const std::string& nodeA,
-                               const std::string& nodeB);
 
 }  // namespace nh::spice

@@ -35,18 +35,10 @@ double Element::nextBreakpoint(double) const {
   return std::numeric_limits<double>::infinity();
 }
 
-Circuit::Circuit() {
-  nodeNames_.push_back("0");
-  nodeIndex_["0"] = 0;
-}
+Circuit::Circuit() { nodeIndex_["0"] = 0; }
 
 NodeId Circuit::node(const std::string& name) {
-  const auto it = nodeIndex_.find(name);
-  if (it != nodeIndex_.end()) return it->second;
-  const NodeId id = nodeNames_.size();
-  nodeNames_.push_back(name);
-  nodeIndex_[name] = id;
-  return id;
+  return nodeIndex_.try_emplace(name, nodeIndex_.size()).first->second;
 }
 
 NodeId Circuit::findNode(const std::string& name) const {

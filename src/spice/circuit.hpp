@@ -18,6 +18,11 @@ namespace nh::spice {
 /// Opaque node identifier (0 = ground).
 using NodeId = std::size_t;
 
+/// Minimum conductance from every node to ground [S], added by the analyses
+/// for numerical robustness (keeps the Jacobian non-singular when nodes
+/// would otherwise float).
+inline constexpr double kGmin = 1e-12;
+
 /// Everything an element needs to stamp its Newton-linearised companion
 /// model into the MNA system G*x = rhs at the candidate solution \p x.
 /// Elements only stamp through the methods below.
@@ -106,10 +111,8 @@ class Circuit {
   NodeId node(const std::string& name);
   /// Lookup an existing node; throws std::out_of_range when absent.
   NodeId findNode(const std::string& name) const;
-  /// Name of node \p id.
-  const std::string& nodeName(NodeId id) const { return nodeNames_.at(id); }
   /// Total node count including ground.
-  std::size_t nodeCount() const { return nodeNames_.size(); }
+  std::size_t nodeCount() const { return nodeIndex_.size(); }
 
   /// Add an element; returns a non-owning pointer for probing.
   /// Must not be called after analyses started using the circuit.
@@ -134,19 +137,11 @@ class Circuit {
   /// Earliest element breakpoint after \p t.
   double nextBreakpoint(double t) const;
 
-  /// Minimum conductance from every node to ground, added by the analyses
-  /// for numerical robustness (keeps the Jacobian non-singular when nodes
-  /// would otherwise float). Default 1e-12 S.
-  double gmin() const { return gmin_; }
-  void setGmin(double g) { gmin_ = g; }
-
  private:
-  std::vector<std::string> nodeNames_;
   std::map<std::string, NodeId> nodeIndex_;
   std::vector<std::unique_ptr<Element>> elements_;
   std::size_t auxCount_ = 0;
   bool nonlinear_ = false;
-  double gmin_ = 1e-12;
 };
 
 }  // namespace nh::spice

@@ -18,12 +18,6 @@ void Resistor::stamp(StampContext& ctx) const {
   ctx.stampConductance(a_, b_, 1.0 / resistance_);
 }
 
-double Resistor::current(const nh::util::Vector& x) const {
-  const double va = a_ == 0 ? 0.0 : x[a_ - 1];
-  const double vb = b_ == 0 ? 0.0 : x[b_ - 1];
-  return (va - vb) / resistance_;
-}
-
 // ---- Capacitor --------------------------------------------------------------
 
 Capacitor::Capacitor(std::string name, NodeId a, NodeId b, double capacitance)
@@ -81,59 +75,6 @@ void VoltageSource::setWaveform(std::unique_ptr<Waveform> waveform) {
   waveform_ = std::move(waveform);
 }
 
-// ---- CurrentSource ----------------------------------------------------------
-
-CurrentSource::CurrentSource(std::string name, NodeId a, NodeId b,
-                             std::unique_ptr<Waveform> waveform)
-    : Element(std::move(name)), a_(a), b_(b), waveform_(std::move(waveform)) {
-  if (!waveform_) throw std::invalid_argument("CurrentSource: null waveform");
-}
-
-CurrentSource::CurrentSource(std::string name, NodeId a, NodeId b, double dcValue)
-    : CurrentSource(std::move(name), a, b, std::make_unique<DcWaveform>(dcValue)) {}
-
-void CurrentSource::stamp(StampContext& ctx) const {
-  ctx.stampCurrentSource(a_, b_, waveform_->value(ctx.time));
-}
-
-double CurrentSource::nextBreakpoint(double t) const {
-  return waveform_->nextBreakpoint(t);
-}
-
-// ---- Diode ------------------------------------------------------------------
-
-Diode::Diode(std::string name, NodeId a, NodeId b, double saturationCurrent,
-             double emissionCoefficient, double temperatureK)
-    : Element(std::move(name)),
-      a_(a),
-      b_(b),
-      is_(saturationCurrent),
-      n_(emissionCoefficient),
-      vt_(1.380649e-23 * temperatureK / 1.602176634e-19) {
-  if (is_ <= 0.0 || n_ <= 0.0) {
-    throw std::invalid_argument("Diode: Is and n must be > 0");
-  }
-}
-
-double Diode::current(double v) const {
-  // Exponent clamp keeps the Newton iteration finite for large trial
-  // voltages; the limiter in the solver keeps us out of this region anyway.
-  const double arg = std::min(v / (n_ * vt_), 80.0);
-  return is_ * (std::exp(arg) - 1.0);
-}
-
-void Diode::stamp(StampContext& ctx) const {
-  const double v = ctx.voltage(a_) - ctx.voltage(b_);
-  const double arg = std::min(v / (n_ * vt_), 80.0);
-  const double expTerm = std::exp(arg);
-  const double i = is_ * (expTerm - 1.0);
-  const double g = std::max(is_ * expTerm / (n_ * vt_), 1e-15);
-  // Linearised: i(v*) approx i0 + g*(v* - v)  ->  conductance g plus a
-  // current source of (i0 - g*v).
-  ctx.stampConductance(a_, b_, g);
-  ctx.stampCurrentSource(a_, b_, i - g * v);
-}
-
 // ---- Memristor --------------------------------------------------------------
 
 double MemristiveModel::conductance(double v) const {
@@ -162,12 +103,6 @@ void Memristor::stamp(StampContext& ctx) const {
 void Memristor::acceptStep(const AcceptContext& ctx) {
   const double v = ctx.voltage(a_) - ctx.voltage(b_);
   model_->advance(v, ctx.dt);
-}
-
-double Memristor::terminalVoltage(const nh::util::Vector& x) const {
-  const double va = a_ == 0 ? 0.0 : x[a_ - 1];
-  const double vb = b_ == 0 ? 0.0 : x[b_ - 1];
-  return va - vb;
 }
 
 }  // namespace nh::spice

@@ -1,10 +1,9 @@
 #pragma once
 /// \file elements.hpp
-/// Concrete circuit elements: resistor, capacitor, independent sources, an
-/// ideal diode (used to validate Newton convergence on exponential I-V), and
-/// the behavioural memristor that hosts compact models such as JART VCM.
+/// Concrete circuit elements: resistor, capacitor, independent voltage
+/// source, and the behavioural memristor that hosts compact models such as
+/// JART VCM.
 
-#include <functional>
 #include <memory>
 
 #include "spice/circuit.hpp"
@@ -18,11 +17,6 @@ class Resistor final : public Element {
   /// \p resistance must be > 0.
   Resistor(std::string name, NodeId a, NodeId b, double resistance);
   void stamp(StampContext& ctx) const override;
-  double resistance() const { return resistance_; }
-  /// Current flowing a -> b given an accepted solution.
-  double current(const nh::util::Vector& x) const;
-  NodeId nodeA() const { return a_; }
-  NodeId nodeB() const { return b_; }
 
  private:
   NodeId a_, b_;
@@ -35,7 +29,6 @@ class Capacitor final : public Element {
  public:
   Capacitor(std::string name, NodeId a, NodeId b, double capacitance);
   void stamp(StampContext& ctx) const override;
-  double capacitance() const { return capacitance_; }
 
  private:
   NodeId a_, b_;
@@ -59,7 +52,6 @@ class VoltageSource final : public Element {
   /// Replace the waveform (the memory controller re-programs line drivers
   /// between operations).
   void setWaveform(std::unique_ptr<Waveform> waveform);
-  const Waveform& waveform() const { return *waveform_; }
 
   /// Branch current from the accepted solution (needs finalize() to have
   /// assigned the auxiliary index).
@@ -68,36 +60,6 @@ class VoltageSource final : public Element {
  private:
   NodeId a_, b_;
   std::unique_ptr<Waveform> waveform_;
-};
-
-/// Independent current source injecting waveform(t) from a to b.
-class CurrentSource final : public Element {
- public:
-  CurrentSource(std::string name, NodeId a, NodeId b,
-                std::unique_ptr<Waveform> waveform);
-  CurrentSource(std::string name, NodeId a, NodeId b, double dcValue);
-  void stamp(StampContext& ctx) const override;
-  double nextBreakpoint(double t) const override;
-
- private:
-  NodeId a_, b_;
-  std::unique_ptr<Waveform> waveform_;
-};
-
-/// Shockley diode (anode a, cathode b): i = Is*(exp(v/(n*Vt)) - 1).
-/// Exercises the Newton solver on a stiff exponential, mirroring the
-/// Schottky branch inside the memristor model.
-class Diode final : public Element {
- public:
-  Diode(std::string name, NodeId a, NodeId b, double saturationCurrent = 1e-14,
-        double emissionCoefficient = 1.0, double temperatureK = 300.0);
-  void stamp(StampContext& ctx) const override;
-  bool isNonlinear() const override { return true; }
-  double current(double v) const;
-
- private:
-  NodeId a_, b_;
-  double is_, n_, vt_;
 };
 
 /// Device current and small-signal conductance at one terminal voltage.
@@ -135,9 +97,6 @@ class Memristor final : public Element {
   void stamp(StampContext& ctx) const override;
   void acceptStep(const AcceptContext& ctx) override;
   bool isNonlinear() const override { return true; }
-  /// Terminal voltage a-b from a solution vector.
-  double terminalVoltage(const nh::util::Vector& x) const;
-  MemristiveModel* model() const { return model_; }
 
  private:
   NodeId a_, b_;

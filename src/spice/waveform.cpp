@@ -79,20 +79,4 @@ double PulseWaveform::nextBreakpoint(double t) const {
   return kInf;
 }
 
-PwlWaveform::PwlWaveform(std::vector<double> times, std::vector<double> values)
-    : fn_(std::move(times), std::move(values)) {}
-
-double PwlWaveform::value(double t) const { return fn_(t); }
-
-double PwlWaveform::nextBreakpoint(double t) const {
-  for (double knot : fn_.xs()) {
-    if (knot > t + 1e-18) return knot;
-  }
-  return kInf;
-}
-
-std::unique_ptr<Waveform> PwlWaveform::clone() const {
-  return std::make_unique<PwlWaveform>(fn_.xs(), fn_.ys());
-}
-
 }  // namespace nh::spice

@@ -3,12 +3,7 @@
 /// Time-domain stimulus descriptions for independent sources. The memory
 /// controller drives word/bit lines with rectangular pulse trains exactly as
 /// the paper defines them: "a rectangular electrical pulse with a fixed
-/// amplitude ... and a given pulse length", plus duty cycle and pulse count.
-
-#include <memory>
-#include <vector>
-
-#include "util/interp.hpp"
+/// amplitude ... and a given pulse length", plus period and pulse count.
 
 namespace nh::spice {
 
@@ -22,9 +17,6 @@ struct PulseSpec {
   double width = 0.0;     ///< Time at the active level per pulse [s].
   double period = 0.0;    ///< Pulse repetition period [s]; 0 = single pulse.
   long long count = -1;   ///< Number of pulses; -1 = unlimited.
-
-  /// Duty cycle = active width / period (0 when period is 0).
-  double dutyCycle() const { return period > 0.0 ? width / period : 0.0; }
 };
 
 /// Polymorphic waveform: value as a function of time.
@@ -37,7 +29,6 @@ class Waveform {
   /// transient engine aligns timesteps to these so edges are not smeared.
   /// Returns +inf when no further breakpoints exist.
   virtual double nextBreakpoint(double t) const;
-  virtual std::unique_ptr<Waveform> clone() const = 0;
 };
 
 /// Constant value.
@@ -45,9 +36,6 @@ class DcWaveform final : public Waveform {
  public:
   explicit DcWaveform(double value) : value_(value) {}
   double value(double) const override { return value_; }
-  std::unique_ptr<Waveform> clone() const override {
-    return std::make_unique<DcWaveform>(value_);
-  }
 
  private:
   double value_;
@@ -60,24 +48,9 @@ class PulseWaveform final : public Waveform {
   double value(double t) const override;
   double nextBreakpoint(double t) const override;
   const PulseSpec& spec() const { return spec_; }
-  std::unique_ptr<Waveform> clone() const override {
-    return std::make_unique<PulseWaveform>(spec_);
-  }
 
  private:
   PulseSpec spec_;
-};
-
-/// Piecewise-linear waveform from (t, v) knots.
-class PwlWaveform final : public Waveform {
- public:
-  PwlWaveform(std::vector<double> times, std::vector<double> values);
-  double value(double t) const override;
-  double nextBreakpoint(double t) const override;
-  std::unique_ptr<Waveform> clone() const override;
-
- private:
-  nh::util::PiecewiseLinear fn_;
 };
 
 }  // namespace nh::spice

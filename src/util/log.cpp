@@ -1,6 +1,5 @@
 #include "util/log.hpp"
 
-#include <atomic>
 #include <iostream>
 
 #include "util/annotations.hpp"
@@ -8,32 +7,16 @@
 namespace nh::util {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::Warn};
 // Serialises whole lines onto std::cerr so concurrent sweep workers never
 // interleave characters. The guarded state is the stream itself (a global we
 // cannot annotate), so the mutex carries the protocol by convention: every
-// write to std::cerr in this file goes through logMessage.
+// write to std::cerr in this file goes through logWarnLine.
 Mutex g_mutex;
-
-const char* levelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::Debug: return "DEBUG";
-    case LogLevel::Info: return "INFO ";
-    case LogLevel::Warn: return "WARN ";
-    case LogLevel::Error: return "ERROR";
-    case LogLevel::Off: return "OFF  ";
-  }
-  return "?";
-}
 }  // namespace
 
-void setLogLevel(LogLevel level) { g_level.store(level); }
-LogLevel logLevel() { return g_level.load(); }
-
-void logMessage(LogLevel level, const std::string& message) {
-  if (level < g_level.load()) return;
+void logWarnLine(const std::string& message) {
   MutexLock lock(g_mutex);
-  std::cerr << "[nh:" << levelName(level) << "] " << message << '\n';
+  std::cerr << "[nh:WARN ] " << message << '\n';
 }
 
 }  // namespace nh::util

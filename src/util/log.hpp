@@ -1,52 +1,23 @@
 #pragma once
 /// \file log.hpp
-/// Lightweight leveled logger. Simulation sweeps log progress at Info; the
-/// numerical kernels log convergence diagnostics at Debug. A global level
-/// keeps benches quiet by default.
+/// Warnings to stderr: degraded-but-continuing events (e.g. a checkpoint
+/// write that failed) that a library caller should see without the run
+/// failing.
 
 #include <sstream>
 #include <string>
+#include <utility>
 
 namespace nh::util {
 
-enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
+/// Write "[nh:WARN ] <message>" to stderr as one whole line.
+void logWarnLine(const std::string& message);
 
-/// Set the process-wide minimum level (default: Warn, so library use is
-/// silent unless something is wrong).
-void setLogLevel(LogLevel level);
-LogLevel logLevel();
-
-/// Emit a message at \p level to stderr when enabled.
-void logMessage(LogLevel level, const std::string& message);
-
-namespace detail {
-template <typename... Args>
-std::string concat(Args&&... args) {
-  std::ostringstream os;
-  (os << ... << std::forward<Args>(args));
-  return os.str();
-}
-}  // namespace detail
-
-template <typename... Args>
-void logDebug(Args&&... args) {
-  if (logLevel() <= LogLevel::Debug)
-    logMessage(LogLevel::Debug, detail::concat(std::forward<Args>(args)...));
-}
-template <typename... Args>
-void logInfo(Args&&... args) {
-  if (logLevel() <= LogLevel::Info)
-    logMessage(LogLevel::Info, detail::concat(std::forward<Args>(args)...));
-}
 template <typename... Args>
 void logWarn(Args&&... args) {
-  if (logLevel() <= LogLevel::Warn)
-    logMessage(LogLevel::Warn, detail::concat(std::forward<Args>(args)...));
-}
-template <typename... Args>
-void logError(Args&&... args) {
-  if (logLevel() <= LogLevel::Error)
-    logMessage(LogLevel::Error, detail::concat(std::forward<Args>(args)...));
+  std::ostringstream os;
+  (os << ... << std::forward<Args>(args));
+  logWarnLine(os.str());
 }
 
 }  // namespace nh::util

@@ -55,13 +55,6 @@ void CrossbarArray::setAmbient(double ambientK) {
   for (auto& device : cells_) device.setAmbient(ambientK);
 }
 
-void CrossbarArray::relaxAll() {
-  for (auto& device : cells_) {
-    device.setCrosstalk(0.0);
-    device.relaxTemperature();
-  }
-}
-
 CellState CrossbarArray::stateOf(std::size_t row, std::size_t col) const {
   return cell(row, col).normalisedState() >= 0.5 ? CellState::Lrs : CellState::Hrs;
 }

@@ -63,9 +63,6 @@ class CrossbarArray {
   void setState(std::size_t row, std::size_t col, CellState state);
   /// Change the ambient temperature of every cell.
   void setAmbient(double ambientK);
-  /// Reset all filament temperatures to ambient and clear crosstalk inputs
-  /// (long idle period).
-  void relaxAll();
 
   /// Classify a cell by its normalised state (>= 0.5 -> LRS). Cheap,
   /// non-disturbing; the detector in nh::core offers resistance-threshold

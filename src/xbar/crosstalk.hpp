@@ -41,7 +41,6 @@ class AlphaTable {
   /// R_th of the hammered cell [K/W]; 0 when unknown (analytic table keeps
   /// the compact-model default).
   double rTh() const { return rTh_; }
-  void setRTh(double rth) { rTh_ = rth; }
   /// Sum of all coefficients (stability requires < 1).
   double totalCoupling() const;
 

@@ -169,7 +169,7 @@ void FastEngine::applyBias(const LineBias& bias, double duration) {
 
 void FastEngine::applyPulse(const LineBias& bias, double width, double gap) {
   applyBias(bias, width);
-  if (options_.relaxBetweenPulses && gap > 0.0) {
+  if (gap > 0.0) {
     // Idle: all drivers at 0 V; devices cool toward ambient. A couple of
     // coarse steps suffice (the thermal relaxation is handled adaptively
     // inside each device). The network solve returns +0.0 V on every line
@@ -188,10 +188,8 @@ void FastEngine::applyPulse(const LineBias& bias, double width, double gap) {
     addRowNonConverged();
     // Crosstalk inputs decay with the sources; clear for the next pulse.
     refreshCrosstalk([](std::size_t) {});
-    time_ += gap;
-  } else {
-    time_ += gap;
   }
+  time_ += gap;
 }
 
 PulseTrainResult FastEngine::applyPulseTrain(const LineBias& bias, double width,
@@ -234,11 +232,11 @@ PulseTrainResult FastEngine::applyPulseTrain(const LineBias& bias, double width,
         maxDelta = std::max(maxDelta, std::fabs(delta[k]));
       }
     }
-    std::size_t batch = options_.maxBatch;
+    std::size_t batch = kMaxBatch;
     if (maxDelta > 0.0) {
       const double allowed = options_.batchDriftLimit * window / maxDelta;
       batch = static_cast<std::size_t>(std::min<double>(
-          static_cast<double>(options_.maxBatch), std::max(0.0, allowed)));
+          static_cast<double>(kMaxBatch), std::max(0.0, allowed)));
     }
     batch = std::min(batch, count - applied);
     if (batch <= 1) continue;

@@ -51,20 +51,20 @@ namespace nh::xbar {
 /// few tens of thermal time constants of its idle gap.
 inline constexpr double kHubSourceFloorK = 1e-8;
 
+/// Hard cap on the number of pulses one batch replays (applyPulseTrain).
+inline constexpr std::size_t kMaxBatch = 1024;
+
 struct FastEngineOptions {
   /// Crosstalk-hub refresh points per pulse.
   std::size_t substepsPerPulse = 4;
   /// Solve the resistive line network (driver impedance) instead of
   /// assuming ideal drivers.
   bool solveLineNetwork = true;
-  /// Simulate the idle gap between pulses (temperature relaxation).
-  bool relaxBetweenPulses = true;
-  /// Pulse-batching accelerator (see applyPulseTrain).
+  /// Pulse-batching accelerator (see applyPulseTrain). A batch replays at
+  /// most kMaxBatch pulses.
   bool enableBatching = true;
   /// Max fraction of the N_disc window any cell may drift per batch.
   double batchDriftLimit = 0.002;
-  /// Hard cap on the batch size.
-  std::size_t maxBatch = 1024;
   /// Newton controls for the line-network solve (xbar/linenet.hpp): the
   /// loop stops once the largest line-voltage step, or its contraction
   /// estimate theta / (1 - theta) * step with theta the ratio of the last

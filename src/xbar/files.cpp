@@ -1,6 +1,5 @@
 #include "xbar/files.hpp"
 
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -15,14 +14,6 @@ using nh::util::splitWhitespace;
 using nh::util::trim;
 
 namespace {
-
-std::string readFile(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path.string());
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 [[noreturn]] void parseError(const char* what, std::size_t lineNo,
                              const std::string& line) {
@@ -63,10 +54,6 @@ std::vector<InitEntry> parseInit(const std::string& text) {
     entries.push_back(e);
   }
   return entries;
-}
-
-std::vector<InitEntry> loadInit(const std::filesystem::path& path) {
-  return parseInit(readFile(path));
 }
 
 void applyInit(CrossbarArray& array, const std::vector<InitEntry>& entries) {
@@ -150,10 +137,6 @@ std::vector<LineStimulus> parseStimuli(const std::string& text) {
     stimuli.push_back(s);
   }
   return stimuli;
-}
-
-std::vector<LineStimulus> loadStimuli(const std::filesystem::path& path) {
-  return parseStimuli(readFile(path));
 }
 
 void validateStimuli(const CrossbarArray& array,

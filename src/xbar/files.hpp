@@ -12,7 +12,6 @@
 ///     WL|BL <index> <amplitude V> <length ns> <duty 0..1> <count> [delay ns]
 /// '#' starts a comment in both formats.
 
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -32,7 +31,6 @@ struct InitEntry {
 
 /// Parse init text. Throws std::runtime_error with line context on errors.
 std::vector<InitEntry> parseInit(const std::string& text);
-std::vector<InitEntry> loadInit(const std::filesystem::path& path);
 /// Apply parsed init entries to an array (bounds-checked).
 void applyInit(CrossbarArray& array, const std::vector<InitEntry>& entries);
 /// Serialise the array's current states into init-file text.
@@ -40,7 +38,6 @@ std::string dumpInit(const CrossbarArray& array);
 
 /// Parse stimuli text into line stimuli for the SPICE engine.
 std::vector<LineStimulus> parseStimuli(const std::string& text);
-std::vector<LineStimulus> loadStimuli(const std::filesystem::path& path);
 /// Validate stimuli against an array's dimensions; throws on out-of-range
 /// line indices or non-physical pulse parameters.
 void validateStimuli(const CrossbarArray& array,

@@ -156,9 +156,8 @@ void SpiceCrossbar::refreshCrosstalk() {
 nh::spice::TransientResult SpiceCrossbar::run(double tStop) {
   nh::spice::TransientOptions opt;
   opt.tStop = tStop;
-  opt.dtInitial = options_.dtInitial;
-  opt.dtMax = options_.dtMax;
-  opt.newton = options_.newton;
+  opt.dtInitial = 1e-11;
+  opt.dtMax = 2e-10;
   opt.onStepAccepted = [this](const nh::util::Vector&, double, double) {
     refreshCrosstalk();
   };

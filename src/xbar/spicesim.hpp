@@ -18,14 +18,11 @@
 
 namespace nh::xbar {
 
-/// Options for the SPICE-level crossbar run.
+/// Options for the SPICE-level crossbar run. The transient starts at a
+/// 1e-11 s step and never steps further than 2e-10 s.
 struct SpiceEngineOptions {
-  double dtMax = 2e-10;       ///< Transient step ceiling [s].
-  double dtInitial = 1e-11;
   /// Record per-cell state/temperature traces (adds probes).
   bool traceCells = true;
-  /// Newton controls forwarded to the transient analysis.
-  nh::spice::NewtonOptions newton;
 };
 
 /// Per-line pulse programming: the stimuli for one transient run.

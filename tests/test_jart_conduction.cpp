@@ -268,6 +268,9 @@ TEST(Conduction, NonFiniteVoltageReportsNonConvergence) {
   EXPECT_FALSE(m.solveConduction(HUGE_VAL, 1e25, 300.0).converged);
   EXPECT_FALSE(m.solveConduction(0.5, std::nan(""), 300.0).converged);
   EXPECT_FALSE(m.solveConduction(0.5, 1e26, std::nan("")).converged);
+  // At 0 V there is no iteration: the NaN temperature must reach the
+  // zero-bias slope, not be clamped to a finite conductance of 0.
+  EXPECT_FALSE(m.solveConduction(0.0, m.params().nDiscMin, std::nan("")).converged);
   EXPECT_FALSE(oracle::solveConduction(m.params(), std::nan(""), 1e25, 300.0).converged);
 }
 

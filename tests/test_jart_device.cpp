@@ -221,8 +221,8 @@ TEST(JartDevice, ZeroVoltAdvanceMatchesTheConductionSolve) {
     EXPECT_EQ(skipped.lastAdvanceNonConverged(), 0u);
     EXPECT_EQ(solved.lastAdvanceNonConverged(), 0u);
   }
-  // A NaN state or temperature takes the solve, which keeps its count: the
-  // NaN state is non-converged at 0 V.
+  // A NaN state or temperature takes the solve, which keeps its count: both
+  // are non-converged at 0 V.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   for (const bool nanState : {true, false}) {
     JartDevice skipped(params(), 300.0);
@@ -237,7 +237,7 @@ TEST(JartDevice, ZeroVoltAdvanceMatchesTheConductionSolve) {
       return solved.model().solveConduction(0.0, n, t);
     });
     EXPECT_EQ(skipped.lastAdvanceNonConverged(), solved.lastAdvanceNonConverged());
-    if (nanState) EXPECT_GT(skipped.lastAdvanceNonConverged(), 0u);
+    EXPECT_GE(skipped.lastAdvanceNonConverged(), 1u);
   }
 }
 

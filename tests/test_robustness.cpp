@@ -17,6 +17,7 @@
 
 #include "core/experiment.hpp"
 #include "core/experiment_registry.hpp"
+#include "jart/device.hpp"
 #include "spice/analysis.hpp"
 #include "spice/elements.hpp"
 #include "util/cancellation.hpp"
@@ -338,9 +339,11 @@ TEST_F(SolverFaults, NewtonFaultSiteFailsTheDcSolveCleanly) {
   nh::spice::Circuit ckt;
   const nh::spice::NodeId in = ckt.node("in");
   const nh::spice::NodeId mid = ckt.node("mid");
-  ckt.emplace<nh::spice::VoltageSource>("V1", in, ckt.ground(), 10.0);
+  nh::jart::JartDevice cell(nh::jart::Params::paperDefaults(), 300.0);
+  cell.setLrs();
+  ckt.emplace<nh::spice::VoltageSource>("V1", in, ckt.ground(), 0.5);
   ckt.emplace<nh::spice::Resistor>("R1", in, mid, 1000.0);
-  ckt.emplace<nh::spice::Diode>("D1", mid, ckt.ground());
+  ckt.emplace<nh::spice::Memristor>("M1", mid, ckt.ground(), &cell);
 
   fi::arm("spice.newton", 1);
   const nh::spice::SolveResult faulted = nh::spice::solveDc(ckt);
@@ -350,9 +353,11 @@ TEST_F(SolverFaults, NewtonFaultSiteFailsTheDcSolveCleanly) {
   fi::clearAll();
   const nh::spice::SolveResult clean = nh::spice::solveDc(ckt);
   ASSERT_TRUE(clean.converged);
-  // Forward diode drop: a few hundred millivolts at ~9 mA.
-  EXPECT_GT(clean.x[mid - 1], 0.3);
-  EXPECT_LT(clean.x[mid - 1], 1.0);
+  // KCL at the cell: the resistor carries the cell's current.
+  const double v = clean.x[mid - 1];
+  EXPECT_GT(v, 0.0);
+  EXPECT_LT(v, 0.5);
+  EXPECT_NEAR((0.5 - v) / 1000.0, cell.current(v), 1e-4 * cell.current(v));
 }
 
 // ---- registered-experiment acceptance ---------------------------------------

@@ -34,16 +34,6 @@ TEST(Dc, VoltageSourceBranchCurrent) {
   EXPECT_NEAR(src->branchCurrent(op.x), -0.01, 1e-9);
 }
 
-TEST(Dc, CurrentSourceIntoResistor) {
-  Circuit ckt;
-  const NodeId n = ckt.node("n");
-  ckt.emplace<CurrentSource>("I1", ckt.ground(), n, 1e-3);
-  ckt.emplace<Resistor>("R1", n, ckt.ground(), 2000.0);
-  const SolveResult op = solveDc(ckt);
-  ASSERT_TRUE(op.converged);
-  EXPECT_NEAR(op.x[n - 1], 2.0, 1e-6);
-}
-
 TEST(Dc, SeriesVoltageSourcesStack) {
   Circuit ckt;
   const NodeId a = ckt.node("a");
@@ -54,39 +44,6 @@ TEST(Dc, SeriesVoltageSourcesStack) {
   const SolveResult op = solveDc(ckt);
   ASSERT_TRUE(op.converged);
   EXPECT_NEAR(op.x[b - 1], 3.0, 1e-9);
-}
-
-TEST(Dc, DiodeForwardDropNearExpected) {
-  // 5 V through 1 kOhm into a diode: V_diode ~ 0.6-0.8 V, Newton must
-  // converge on the exponential.
-  Circuit ckt;
-  const NodeId in = ckt.node("in");
-  const NodeId d = ckt.node("d");
-  ckt.emplace<VoltageSource>("V1", in, ckt.ground(), 5.0);
-  ckt.emplace<Resistor>("R1", in, d, 1000.0);
-  ckt.emplace<Diode>("D1", d, ckt.ground());
-  const SolveResult op = solveDc(ckt);
-  ASSERT_TRUE(op.converged);
-  const double vd = op.x[d - 1];
-  EXPECT_GT(vd, 0.5);
-  EXPECT_LT(vd, 0.85);
-  // KCL: resistor current equals diode current.
-  const double ir = (5.0 - vd) / 1000.0;
-  Diode ref("ref", 0, 0);
-  EXPECT_NEAR(ir, ref.current(vd), ir * 1e-4);
-}
-
-TEST(Dc, DiodeReverseBlocksCurrent) {
-  Circuit ckt;
-  const NodeId in = ckt.node("in");
-  const NodeId d = ckt.node("d");
-  ckt.emplace<VoltageSource>("V1", in, ckt.ground(), -5.0);
-  ckt.emplace<Resistor>("R1", in, d, 1000.0);
-  ckt.emplace<Diode>("D1", d, ckt.ground());
-  const SolveResult op = solveDc(ckt);
-  ASSERT_TRUE(op.converged);
-  // Nearly the full -5 V appears across the diode.
-  EXPECT_LT(op.x[d - 1], -4.9);
 }
 
 TEST(Dc, FloatingNodeHandledByGmin) {
@@ -108,8 +65,6 @@ TEST(Dc, ElementValidation) {
                std::invalid_argument);
   EXPECT_THROW(ckt.emplace<Capacitor>("C", a, ckt.ground(), 0.0),
                std::invalid_argument);
-  EXPECT_THROW(ckt.emplace<Diode>("D", a, ckt.ground(), 0.0),
-               std::invalid_argument);
 }
 
 TEST(Circuit, NodeBookkeeping) {
@@ -118,7 +73,6 @@ TEST(Circuit, NodeBookkeeping) {
   EXPECT_EQ(ckt.node("a"), a);  // idempotent
   EXPECT_EQ(ckt.findNode("a"), a);
   EXPECT_THROW(ckt.findNode("missing"), std::out_of_range);
-  EXPECT_EQ(ckt.nodeName(0), "0");
   EXPECT_EQ(ckt.nodeCount(), 2u);
 }
 

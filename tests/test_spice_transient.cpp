@@ -75,25 +75,6 @@ TEST(Transient, PulseEdgesAreResolved) {
   EXPECT_NEAR(maxV, 1.0, 1e-9);
 }
 
-TEST(Transient, CapacitorHoldsChargeWhenDisconnected) {
-  // Charged capacitor with only gmin leakage keeps its voltage over 1 us.
-  Circuit ckt;
-  const NodeId n = ckt.node("n");
-  ckt.emplace<Capacitor>("C1", n, ckt.ground(), 1e-9);
-  ckt.emplace<CurrentSource>(
-      "I1", ckt.ground(), n,
-      std::make_unique<PwlWaveform>(std::vector<double>{0.0, 10e-9, 11e-9},
-                                    std::vector<double>{1e-3, 1e-3, 0.0}));
-  TransientOptions opt;
-  opt.tStop = 1e-6;
-  opt.dtMax = 5e-9;
-  const auto result = runTransient(ckt, opt, {probeNodeVoltage(ckt, "n")});
-  ASSERT_TRUE(result.completed);
-  const auto& vn = result.seriesFor("v(n)");
-  // Charge delivered ~ 1 mA * 10.5 ns / 1 nF ~ 10.5 mV; held afterwards.
-  EXPECT_GT(vn.back(), 0.009);
-}
-
 /// Minimal memristive model for engine tests: conductance grows linearly
 /// with the time integral of |v| (no temperature).
 class ToyMemristor final : public MemristiveModel {

@@ -39,13 +39,6 @@ TEST(PulseWaveform, RepeatsForCountThenStops) {
   EXPECT_DOUBLE_EQ(w.value(10e-9 + 300e-9 + 25e-9), 0.525);
 }
 
-TEST(PulseWaveform, DutyCycle) {
-  EXPECT_DOUBLE_EQ(hammerPulse().dutyCycle(), 0.5);
-  PulseSpec single = hammerPulse();
-  single.period = 0.0;
-  EXPECT_DOUBLE_EQ(single.dutyCycle(), 0.0);
-}
-
 TEST(PulseWaveform, BreakpointsAlignToEdges) {
   const PulseWaveform w(hammerPulse());
   EXPECT_DOUBLE_EQ(w.nextBreakpoint(0.0), 10e-9);          // first rise start
@@ -74,20 +67,6 @@ TEST(DcWaveform, ConstantEverywhere) {
   EXPECT_DOUBLE_EQ(w.value(0.0), 0.7);
   EXPECT_DOUBLE_EQ(w.value(1.0), 0.7);
   EXPECT_TRUE(std::isinf(w.nextBreakpoint(0.0)));
-}
-
-TEST(PwlWaveform, InterpolatesKnots) {
-  const PwlWaveform w({0.0, 1e-9, 2e-9}, {0.0, 1.0, 0.0});
-  EXPECT_DOUBLE_EQ(w.value(0.5e-9), 0.5);
-  EXPECT_DOUBLE_EQ(w.value(5e-9), 0.0);  // clamped after last knot
-  EXPECT_DOUBLE_EQ(w.nextBreakpoint(0.0), 1e-9);
-  EXPECT_DOUBLE_EQ(w.nextBreakpoint(1e-9), 2e-9);
-}
-
-TEST(Waveform, CloneIsIndependentCopy) {
-  const PulseWaveform w(hammerPulse());
-  const auto copy = w.clone();
-  EXPECT_DOUBLE_EQ(copy->value(30e-9), w.value(30e-9));
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <set>
 
-#include "util/interp.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
@@ -55,33 +54,6 @@ TEST(Rng, NormalMomentsReasonable) {
   }
   EXPECT_NEAR(sum / n, 0.0, 0.02);
   EXPECT_NEAR(sumSq / n, 1.0, 0.03);
-}
-
-// ---- interp ----------------------------------------------------------------
-
-TEST(PiecewiseLinear, InterpolatesAndClamps) {
-  const PiecewiseLinear f({0.0, 1.0, 2.0}, {0.0, 10.0, 0.0});
-  EXPECT_DOUBLE_EQ(f(0.5), 5.0);
-  EXPECT_DOUBLE_EQ(f(1.5), 5.0);
-  EXPECT_DOUBLE_EQ(f(-1.0), 0.0);   // clamp left
-  EXPECT_DOUBLE_EQ(f(10.0), 0.0);   // clamp right
-}
-
-TEST(PiecewiseLinear, RejectsBadKnots) {
-  EXPECT_THROW(PiecewiseLinear({1.0, 1.0}, {0.0, 1.0}), std::invalid_argument);
-  EXPECT_THROW(PiecewiseLinear({2.0, 1.0}, {0.0, 1.0}), std::invalid_argument);
-  EXPECT_THROW(PiecewiseLinear({}, {}), std::invalid_argument);
-  EXPECT_THROW(PiecewiseLinear({1.0}, {0.0, 1.0}), std::invalid_argument);
-}
-
-TEST(FirstCrossing, FindsInterpolatedCrossing) {
-  const double x = firstCrossing({0.0, 1.0, 2.0}, {0.0, 2.0, 4.0}, 1.0);
-  EXPECT_NEAR(x, 0.5, 1e-12);
-}
-
-TEST(FirstCrossing, NanWhenNoCrossing) {
-  EXPECT_TRUE(std::isnan(firstCrossing({0.0, 1.0}, {0.0, 0.5}, 2.0)));
-  EXPECT_TRUE(std::isnan(firstCrossing({0.0}, {1.0}, 0.5)));
 }
 
 // ---- table ------------------------------------------------------------------

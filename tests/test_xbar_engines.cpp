@@ -240,6 +240,20 @@ TEST(FastEngine, CountsNonConvergedConductionSolves) {
   }
 }
 
+TEST(FastEngine, CountsANanCrosstalkInputInTheIdleGap) {
+  // A NaN coupling at offset (0, 1) makes the crosstalk input NaN in the
+  // six cells that have a neighbour there. A zero-width pulse runs only the
+  // idle gap: no line solve, each cell advanced at 0 V with a finite state,
+  // in one substep. Each advance at a NaN temperature is counted.
+  AlphaTable table = AlphaTable::analytic(50e-9);
+  table.set(0, 1, std::nan(""));
+  CrossbarArray array(config3x3());
+  FastEngine engine(array, table);
+  engine.applyPulse(selectBias(BiasScheme::Half, 3, 3, 1, 1, 0.0), 0.0, 50e-9);
+  EXPECT_EQ(engine.conductionNonConvergedTotal(), 6u);
+  EXPECT_EQ(engine.newtonIterationsTotal(), 0u);
+}
+
 TEST(FastEngine, NonFiniteDriveRaisesSolverErrorOnTheRowBlockPath) {
   // 32x32 = 1024 cells: the Jacobian fill runs in row blocks on the pool.
   // The NaN word line still ends in the unwrapped SolverError, after all 32
