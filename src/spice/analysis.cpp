@@ -23,6 +23,9 @@ constexpr double kRelTol = 1e-6;
 constexpr double kMaxStepVoltage = 0.5;  // [V]
 /// Transient step floor: a run whose step shrinks below it fails [s].
 constexpr double kDtMin = 1e-15;
+/// Conductance from every node to ground [S]: keeps the Jacobian
+/// non-singular when a node would otherwise float.
+constexpr double kGmin = 1e-12;
 
 /// Newton solver with persistent storage and LU reuse. One engine lives for
 /// a whole analysis (every timestep of a transient), so the Jacobian, the

@@ -18,11 +18,6 @@ namespace nh::spice {
 /// Opaque node identifier (0 = ground).
 using NodeId = std::size_t;
 
-/// Minimum conductance from every node to ground [S], added by the analyses
-/// for numerical robustness (keeps the Jacobian non-singular when nodes
-/// would otherwise float).
-inline constexpr double kGmin = 1e-12;
-
 /// Everything an element needs to stamp its Newton-linearised companion
 /// model into the MNA system G*x = rhs at the candidate solution \p x.
 /// Elements only stamp through the methods below.
